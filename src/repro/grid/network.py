@@ -10,6 +10,13 @@ executing node`` unless a producer task's site is known.
 Transfer time over a path is the sum of per-hop latencies plus the
 serialization time on the *slowest* hop (store-and-forward of one
 message, cut-through within a hop), the standard first-order WAN model.
+
+Routes are memoized per topology: the first transfer between two sites
+runs the shortest-path search and caches the route's total latency and
+bottleneck bandwidth, and unreachable pairs are cached too.  Every
+topology change goes through :meth:`Network.connect`,
+:meth:`Network.disconnect` or :meth:`Network.remove_site`, and each of
+them clears the cache.
 """
 
 from __future__ import annotations
@@ -52,11 +59,18 @@ class Network:
     Sites are added implicitly by :meth:`connect`.  Routing picks the
     minimum-latency path; the effective bandwidth of a path is its
     bottleneck link.
+
+    :attr:`graph` is owned by the network and may only change through
+    its methods, which keep the route cache in step with the topology.
     """
 
     def __init__(self) -> None:
         self.graph = nx.Graph()
         self.graph.add_node(USER_SITE)
+        #: (src, dst) -> (total latency s, bottleneck MB/s) of the
+        #: current minimum-latency route, or the message of the
+        #: NetworkError the pair raises.  Cleared on every topology change.
+        self._routes: dict[tuple[int, int], tuple[float, float] | str] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -66,11 +80,13 @@ class Network:
         if a == b:
             raise ValueError("cannot connect a site to itself")
         self.graph.add_edge(a, b, link=link)
+        self._routes.clear()
 
     def disconnect(self, a: int, b: int) -> None:
         if not self.graph.has_edge(a, b):
             raise NetworkError(f"no link between {a} and {b}")
         self.graph.remove_edge(a, b)
+        self._routes.clear()
 
     def remove_site(self, site: int) -> None:
         """Drop a site and all its links (node-leave events)."""
@@ -78,6 +94,7 @@ class Network:
             raise ValueError("the user site cannot be removed")
         if site in self.graph:
             self.graph.remove_node(site)
+            self._routes.clear()
 
     @classmethod
     def fully_connected(
@@ -136,6 +153,10 @@ class Network:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def has_link(self, a: int, b: int) -> bool:
+        """Whether sites *a* and *b* are directly linked."""
+        return self.graph.has_edge(a, b)
+
     def has_route(self, src: int, dst: int) -> bool:
         return (
             src in self.graph
@@ -163,11 +184,26 @@ class Network:
             raise ValueError("size must be non-negative")
         if src == dst:
             return 0.0
-        route = self.path(src, dst)
-        links = [self.graph.edges[u, v]["link"] for u, v in zip(route, route[1:])]
-        total_latency = sum(l.latency_s for l in links)
-        bottleneck = min(l.bandwidth_mbps for l in links)
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[src, dst] = self._route(src, dst)
+        if isinstance(route, str):
+            raise NetworkError(route)
+        total_latency, bottleneck = route
         return total_latency + size_bytes / (bottleneck * 1e6)
+
+    def _route(self, src: int, dst: int) -> tuple[float, float] | str:
+        """(total latency, bottleneck bandwidth) of the src -> dst
+        route, or the message of the NetworkError finding it raised."""
+        try:
+            route = self.path(src, dst)
+        except NetworkError as exc:
+            return str(exc)
+        links = [self.graph.edges[u, v]["link"] for u, v in zip(route, route[1:])]
+        return (
+            sum(l.latency_s for l in links),
+            min(l.bandwidth_mbps for l in links),
+        )
 
     def __contains__(self, site: int) -> bool:
         return site in self.graph

@@ -57,7 +57,7 @@ from repro.core.node import Node
 from repro.core.task import DataIn, DataOut, Task
 from repro.grid.health import HealthTracker
 from repro.grid.jss import JobSubmissionSystem
-from repro.grid.network import NetworkError
+from repro.grid.network import Link, NetworkError
 from repro.grid.rms import Placement, ResourceManagementSystem, SchedulingError
 from repro.hardware.taxonomy import PEClass
 from repro.sim.admission import ADMIT, DEFER, AdmissionController, AdmissionSpec
@@ -189,6 +189,8 @@ class DReAMSim:
         self.retry = retry or RetryPolicy()
         #: Link pairs currently degraded (overlapping draws collapse).
         self._degraded_pairs: set[frozenset[int]] = set()
+        #: Links severed by a partition -> the link its heal restores.
+        self._severed_links: dict[frozenset[int], Link] = {}
         #: Adaptive resilience layer (None = the exact pre-resilience
         #: behavior; an all-None spec normalizes to None too).
         self.resilience = (
@@ -1203,8 +1205,12 @@ class DReAMSim:
 
             def heal() -> None:
                 self._degraded_pairs.discard(pair)
-                if network.graph.has_edge(a, b):
+                if network.has_link(a, b):
                     network.restore(a, b, healthy)
+                elif pair in self._severed_links:
+                    # Cut by a partition: its heal brings back the
+                    # healthy link, not the degraded one it severed.
+                    self._severed_links[pair] = healthy
                 self._emit("link-restore", a=a, b=b)
                 self._dispatch_pending()
 
@@ -1228,18 +1234,19 @@ class DReAMSim:
             return
         if heal_at_s <= time:
             raise ValueError("partition must heal after it starts")
-        saved: list[tuple[int, int, object]] = []
+        saved: list[tuple[int, int]] = []
 
         def split() -> None:
             for a in group_a:
                 for b in group_b:
-                    if network.graph.has_edge(a, b):
-                        saved.append((a, b, network.sever(a, b)))
+                    if network.has_link(a, b):
+                        self._severed_links[frozenset((a, b))] = network.sever(a, b)
+                        saved.append((a, b))
             self._emit("link-fault", a=-1, b=-1, partition=True, cut=len(saved))
 
             def heal() -> None:
-                for a, b, link in saved:
-                    network.restore(a, b, link)
+                for a, b in saved:
+                    network.restore(a, b, self._severed_links.pop(frozenset((a, b))))
                 self._emit("link-restore", a=-1, b=-1)
                 self._dispatch_pending()
 

@@ -96,3 +96,72 @@ class TestTransferTimes:
         net.connect(0, 2, Link(1000.0, 0.01))
         net.connect(2, 1, Link(1000.0, 0.01))
         assert net.path(0, 1) == [0, 2, 1]
+
+
+class TestRouteCache:
+    """Routes are memoized; every topology change must show in the next
+    transfer time."""
+
+    SIZE = 10_000_000
+
+    def chain(self):
+        """0 - 1 - 2, with a slower direct 0 - 2 detour."""
+        net = Network()
+        net.connect(0, 1, Link(100.0, 0.01))
+        net.connect(1, 2, Link(100.0, 0.01))
+        net.connect(0, 2, Link(50.0, 0.05))
+        return net
+
+    def test_degrade_changes_next_transfer(self):
+        net = self.chain()
+        before = net.transfer_time(self.SIZE, 0, 2)
+        net.degrade(0, 1, factor=0.1)
+        assert net.transfer_time(self.SIZE, 0, 2) > before
+
+    def test_sever_changes_next_transfer(self):
+        net = self.chain()
+        assert net.transfer_time(self.SIZE, 0, 2) == pytest.approx(0.12)
+        net.sever(1, 2)
+        assert net.transfer_time(self.SIZE, 0, 2) == pytest.approx(0.25)
+
+    def test_restore_changes_next_transfer(self):
+        net = self.chain()
+        healthy = net.degrade(0, 1, factor=0.1)
+        degraded = net.transfer_time(self.SIZE, 0, 2)
+        net.restore(0, 1, healthy)
+        assert net.transfer_time(self.SIZE, 0, 2) < degraded
+
+    def test_disconnect_changes_next_transfer(self):
+        net = self.chain()
+        net.transfer_time(self.SIZE, 0, 2)
+        net.disconnect(0, 1)
+        assert net.transfer_time(self.SIZE, 0, 2) == pytest.approx(0.25)
+
+    def test_remove_site_changes_next_transfer(self):
+        net = self.chain()
+        net.transfer_time(self.SIZE, 0, 2)
+        net.remove_site(1)
+        assert net.transfer_time(self.SIZE, 0, 2) == pytest.approx(0.25)
+
+    def test_cached_unreachable_pair_raises_every_time(self):
+        net = Network()
+        net.connect(0, 1, Link(100.0, 0.0))
+        net.connect(2, 3, Link(100.0, 0.0))
+        for _ in range(3):
+            with pytest.raises(NetworkError, match="no route"):
+                net.transfer_time(100, 0, 3)
+
+    def test_reconnect_makes_unreachable_pair_routable(self):
+        net = Network()
+        net.connect(0, 1, Link(100.0, 0.0))
+        net.connect(2, 3, Link(100.0, 0.0))
+        with pytest.raises(NetworkError, match="no route"):
+            net.transfer_time(100, 0, 3)
+        net.connect(1, 2, Link(10.0, 0.5))
+        assert net.transfer_time(10_000_000, 0, 3) == pytest.approx(1.5)
+
+    def test_same_site_stays_free(self):
+        net = self.chain()
+        net.transfer_time(self.SIZE, 0, 2)
+        assert net.transfer_time(10**9, 2, 2) == 0.0
+        assert Network().transfer_time(10**9, 42, 42) == 0.0

@@ -349,14 +349,27 @@ class TestLinkFaults:
         seen = {}
 
         def probe():
-            seen["during"] = sim.rms.network.graph.has_edge(0, 1)
+            seen["during"] = sim.rms.network.has_link(0, 1)
 
         sim.schedule_partition(1.0, [0], [1], heal_at_s=3.0)
         sim.engine.schedule_at(2.0, probe)
         sim.submit_workload([(0.0, gpp_task(0))])
         sim.run()
         assert seen["during"] is False
-        assert sim.rms.network.graph.has_edge(0, 1)
+        assert sim.rms.network.has_link(0, 1)
+
+    def test_degrade_healing_inside_partition_restores_healthy_link(self):
+        """A degrade whose heal fires while a partition has the link cut
+        must not leave the partition's heal re-installing the degraded
+        link for the rest of the run."""
+        sim = self.two_node_net_sim()
+        healthy = sim.rms.network.link_between(0, 1)
+        sim.schedule_link_degrade(1.0, 0, 1, factor=0.1, duration_s=3.0)
+        sim.schedule_partition(2.0, [0], [1], heal_at_s=8.0)
+        sim.submit_workload([(0.0, gpp_task(0))])
+        sim.run()
+        assert sim.engine.now >= 8.0
+        assert sim.rms.network.link_between(0, 1) == healthy
 
     def test_partition_must_heal_after_start(self):
         sim = self.two_node_net_sim()
@@ -372,7 +385,7 @@ class TestLinkFaults:
         seen = {}
 
         def probe():
-            seen["after_heal_attempt"] = sim.rms.network.graph.has_edge(0, 1)
+            seen["after_heal_attempt"] = sim.rms.network.has_link(0, 1)
 
         sim.engine.schedule_at(5.0, probe)
         sim.submit_workload([(0.0, gpp_task(0))])
