@@ -72,6 +72,25 @@ def task_required_slices(task: Task) -> int:
     return 0
 
 
+def fit_key(task: Task) -> tuple:
+    """Exactly the task fields :func:`find_candidates` reads.
+
+    Two tasks with equal keys get the same candidate list from the same
+    grid state.  Input sizes and data sites are left out: they only
+    affect pricing, never admissibility.
+    """
+    exec_req = task.exec_req
+    artifacts = exec_req.artifacts
+    return (
+        exec_req.node_type,
+        exec_req.constraints,
+        artifacts.bitstream,
+        artifacts.hdl_design,
+        artifacts.softcore,
+        task.function,
+    )
+
+
 def _rpe_dynamic_ok(task: Task, rpe: RPEResource) -> bool:
     """Dynamic admissibility of an RPE: resident-config reuse, or enough
     placeable area for the task's circuit."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.matching import Candidate, find_candidates
+from repro.core.matching import Candidate, find_candidates, fit_key
 from repro.core.node import Node
 from repro.core.state import NodeStateSnapshot
 from repro.core.task import Task
@@ -35,6 +35,8 @@ from repro.hardware.bitstream import Bitstream
 from repro.hardware.fabric import RegionState
 from repro.hardware.softcore import SoftcoreSpec
 from repro.hardware.taxonomy import PEClass
+from repro.scheduling.base import filter_excluded, filter_quarantined
+from repro.scheduling.hybrid import HybridCostScheduler
 
 
 class SchedulingError(RuntimeError):
@@ -96,8 +98,6 @@ class ResourceManagementSystem:
         reference_mips: float = 1000.0,
         partial_reconfiguration: bool = True,
     ):
-        from repro.scheduling.hybrid import HybridCostScheduler
-
         self.network = network
         self.virtualization = virtualization or VirtualizationLayer()
         self.scheduler = scheduler if scheduler is not None else HybridCostScheduler()
@@ -308,6 +308,7 @@ class ResourceManagementSystem:
         data_sites: dict[int, int] | None = None,
         exclude_nodes: set[int] | frozenset[int] | None = None,
         now: float | None = None,
+        no_fit: set[tuple] | None = None,
     ) -> Placement | None:
         """Ask the strategy to place *task*; ``None`` defers it.
 
@@ -325,34 +326,24 @@ class ResourceManagementSystem:
         *before* the strategy sees them.  The simulator always forwards
         its clock here; quarantine is never forgiven by the starvation
         guard, unlike fault exclusions.
-        """
-        from repro.scheduling.base import filter_excluded, filter_quarantined
 
-        if self.admission is not None and self.admission.gates_placement(self.nodes):
-            # Utilization gate: the grid is saturated with in-flight
-            # work, so defer rather than matchmake.  Occupancy counts
-            # only in-flight placements, so a future completion event
-            # is guaranteed to re-run the queue -- no deadlock.
-            if self.telemetry is not None:
-                self.telemetry.counter(
-                    "rms_placements_gated_total",
-                    "placement requests vetoed by the utilization gate",
-                ).inc()
+        ``no_fit`` is the dispatch pass's no-fit memo: when no PE is
+        available for *task* at all (before exclusions and quarantine),
+        its :func:`~repro.core.matching.fit_key` is added to the set.
+        """
+        if self._gated():
             return None
 
         self._data_sites = data_sites
         try:
-            candidates = filter_excluded(
-                self.find_candidates(task, require_available=True), exclude_nodes
-            )
+            candidates = self.find_candidates(task, require_available=True)
+            if not candidates and no_fit is not None:
+                no_fit.add(fit_key(task))
+            candidates = filter_excluded(candidates, exclude_nodes)
             candidates = filter_quarantined(candidates, self.health, now)
             choice = self.scheduler.choose(task, candidates, self)
             if choice is None:
-                if self.telemetry is not None:
-                    self.telemetry.counter(
-                        "rms_placements_deferred_total",
-                        "placement requests the strategy declined",
-                    ).inc()
+                self._count_deferred()
                 return None
             try:
                 if self.telemetry is not None:
@@ -367,6 +358,37 @@ class ResourceManagementSystem:
                 ) from exc
         finally:
             self._data_sites = None
+
+    def decline_no_fit(self) -> None:
+        """Account one request for a task known to have no available PE.
+
+        The dispatch pass calls this instead of :meth:`plan_placement`
+        on a no-fit memo hit.  It keeps the same order and counters: the
+        utilization gate first, else a deferral.
+        """
+        if not self._gated():
+            self._count_deferred()
+
+    def _gated(self) -> bool:
+        """The utilization gate: while the grid is saturated with
+        in-flight work, defer rather than matchmake.  Occupancy counts
+        only in-flight placements, so a future completion event is
+        guaranteed to re-run the queue -- no deadlock."""
+        if self.admission is None or not self.admission.gates_placement(self.nodes):
+            return False
+        if self.telemetry is not None:
+            self.telemetry.counter(
+                "rms_placements_gated_total",
+                "placement requests vetoed by the utilization gate",
+            ).inc()
+        return True
+
+    def _count_deferred(self) -> None:
+        if self.telemetry is not None:
+            self.telemetry.counter(
+                "rms_placements_deferred_total",
+                "placement requests the strategy declined",
+            ).inc()
 
     # ------------------------------------------------------------------
     # Placement lifecycle (driven by the simulator through time)

@@ -52,7 +52,7 @@ from collections.abc import Callable
 
 from repro.core.application import Application, ClauseKind
 from repro.core.execreq import ExecReq
-from repro.core.matching import task_required_slices
+from repro.core.matching import fit_key, task_required_slices
 from repro.core.node import Node
 from repro.core.task import DataIn, DataOut, Task
 from repro.grid.health import HealthTracker
@@ -2100,6 +2100,19 @@ class DReAMSim:
         ``_try_dispatch`` never mutates ``self.pending`` synchronously
         (faults and completions arrive via engine events), so swapping
         in the kept list afterwards is safe.
+
+        The pass keeps a **no-fit memo**: the
+        :func:`~repro.core.matching.fit_key` of every task for which
+        ``plan_placement`` found no available PE at all (before
+        exclusions and quarantine).  A later entry with the same key is
+        declined without a search.  This is exact because, within one
+        pass, only ``rms.commit`` changes occupancy, and a commit never
+        makes capacity available: the chosen GPP/GPU turns busy, the
+        chosen region turns CONFIGURING or BUSY, and a freshly
+        provisioned soft core starts BUSY, so it is not listed as an
+        idle soft core.  An empty candidate list therefore stays empty
+        until the pass ends.  The memo is dropped with the pass, since
+        the releases between passes can free capacity.
         """
         if self.control_plane is not None and not self.control_plane.dispatchable:
             # The control plane is dark: no placement decisions are
@@ -2114,10 +2127,11 @@ class DReAMSim:
             prof.enter("dispatch")
         try:
             kept: list[_Entry] = []
+            no_fit: set[tuple] = set()
             for entry in self.pending:
                 if entry.discarded or entry.dispatched:
                     continue
-                if not self._try_dispatch(entry):
+                if not self._try_dispatch(entry, no_fit):
                     kept.append(entry)
             self.pending = kept
         finally:
@@ -2129,7 +2143,7 @@ class DReAMSim:
         if self.slo is not None:
             self.slo.observe_queue(len(self.pending))
 
-    def _try_dispatch(self, entry: _Entry) -> bool:
+    def _try_dispatch(self, entry: _Entry, no_fit: set[tuple]) -> bool:
         if (
             self.admission is not None
             and self.admission.stage >= 2
@@ -2158,7 +2172,6 @@ class DReAMSim:
                 "low-priority tasks forced to GPP by brownout",
             )
             self._emit("degrade", entry.key, stage=self.admission.stage)
-        data_sites = self._data_sites_for(entry)
         exclude = entry.excluded_nodes
         if self._suspected_targets:
             # Don't throw new work at nodes the detector already
@@ -2167,6 +2180,15 @@ class DReAMSim:
             suspects = {t for t in self._suspected_targets if t != "rms"}
             if suspects:
                 exclude = exclude | suspects
+        if fit_key(entry.task) in no_fit:
+            # No-fit memo hit: a fresh search would find no available
+            # PE either.  Account the request like plan_placement would,
+            # twice when the starvation guard below would retry.
+            self.rms.decline_no_fit()
+            if exclude:
+                self.rms.decline_no_fit()
+            return False
+        data_sites = self._data_sites_for(entry)
         prof = self.hostprof
         if prof is not None:
             prof.enter("matchmaking")
@@ -2176,6 +2198,7 @@ class DReAMSim:
                 data_sites=data_sites,
                 exclude_nodes=exclude or None,
                 now=self.engine.now,
+                no_fit=no_fit,
             )
             if placement is None and exclude:
                 # Starvation guard: when exclusions leave nowhere to go,

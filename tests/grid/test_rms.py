@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.execreq import Artifacts, Equals, ExecReq, MinValue
+from repro.core.matching import fit_key
 from repro.core.node import Node
 from repro.core.state import PEState
 from repro.core.task import simple_task
+from repro.grid.health import HealthPolicy, HealthTracker
 from repro.grid.network import Network
 from repro.grid.rms import ResourceManagementSystem, SchedulingError
 from repro.hardware.bitstream import Bitstream, HDLDesign
@@ -14,6 +16,8 @@ from repro.hardware.fabric import RegionState
 from repro.hardware.gpp import GPPSpec
 from repro.hardware.softcore import RHO_VEX_4ISSUE
 from repro.hardware.taxonomy import PEClass
+from repro.sim.admission import AdmissionController, AdmissionSpec, UtilizationSpec
+from repro.sim.telemetry import TelemetryRegistry
 
 
 def build_rms(network=True):
@@ -219,3 +223,50 @@ class TestSchedulerIntegration:
         rms.scheduler = Probe()
         assert rms.plan_placement(gpp_task()) is None
         assert calls == [1]
+
+
+class TestNoFitMemo:
+    """``plan_placement(no_fit=...)`` records a task's fit key only when
+    no PE is available at all, before exclusions and quarantine."""
+
+    def test_records_an_empty_search(self):
+        rms, node = build_rms(network=False)
+        memo = set()
+        assert rms.plan_placement(gpp_task(), no_fit=memo) is not None
+        assert memo == set()
+        node.gpps[0].assign(99)
+        assert rms.plan_placement(gpp_task(), no_fit=memo) is None
+        assert memo == {fit_key(gpp_task())}
+
+    def test_exclusions_are_not_a_no_fit(self):
+        rms, _ = build_rms(network=False)
+        memo = set()
+        assert rms.plan_placement(gpp_task(), exclude_nodes={0}, no_fit=memo) is None
+        assert memo == set()
+
+    def test_quarantine_is_not_a_no_fit(self):
+        rms, _ = build_rms(network=False)
+        rms.health = HealthTracker(HealthPolicy())
+        rms.health.record_detected_failure(0, now=0.0)
+        memo = set()
+        assert rms.plan_placement(gpp_task(), now=1.0, no_fit=memo) is None
+        assert memo == set()
+
+    def test_gated_request_searches_nothing(self):
+        rms, _ = build_rms(network=False)
+        rms.admission = AdmissionController(
+            AdmissionSpec(utilization=UtilizationSpec(threshold=0.01))
+        )
+        rms.node(0).gpps[0].assign(99)
+        memo = set()
+        assert rms.plan_placement(gpp_task(), no_fit=memo) is None
+        assert memo == set()
+        rms.decline_no_fit()
+        assert rms.admission.placements_gated == 2
+
+    def test_decline_counts_like_a_deferral(self):
+        rms, _ = build_rms(network=False)
+        rms.telemetry = TelemetryRegistry()
+        rms.decline_no_fit()
+        [counter] = rms.telemetry.series("rms_placements_deferred_total")
+        assert counter.value == 1
