@@ -856,15 +856,14 @@ def _case_sim_failover(quick: bool) -> dict[str, float]:
 
 # ----------------------------------------------------------------------
 # Engine microbench + million-task scale cases
-# (kernels shared with benchmarks/bench_engine_scaling.py)
 # ----------------------------------------------------------------------
 
 ENGINE_MICRO_EVENTS = 200_000
 ENGINE_MICRO_SEED = 37
 
 
-def run_engine_micro(engine: str, *, n: int = ENGINE_MICRO_EVENTS):
-    """The simulator-shaped event kernel on one engine.
+def run_engine_micro(*, n: int = ENGINE_MICRO_EVENTS):
+    """The simulator-shaped event kernel.
 
     ``n`` Poisson-like arrivals are bulk-scheduled up front (the
     ``submit_workload_columns`` shape); every arrival callback then
@@ -874,12 +873,12 @@ def run_engine_micro(engine: str, *, n: int = ENGINE_MICRO_EVENTS):
     """
     import numpy as np
 
-    from repro.sim.engine import make_engine
+    from repro.sim.engine import SimulationEngine
 
     rng = np.random.default_rng(ENGINE_MICRO_SEED)
     arrivals = np.cumsum(rng.exponential(0.5, n))
     service = rng.uniform(0.1, 2.0, n)
-    eng = make_engine(engine)
+    eng = SimulationEngine()
     done = [0]
     cursor = [0]
     service_list = service.tolist()
@@ -895,44 +894,36 @@ def run_engine_micro(engine: str, *, n: int = ENGINE_MICRO_EVENTS):
     return eng.processed_events, eng.now
 
 
-def run_engine_drain(engine: str, *, n: int = ENGINE_MICRO_EVENTS):
+def run_engine_drain(*, n: int = ENGINE_MICRO_EVENTS):
     """Pure queue throughput: bulk-schedule ``n`` random times, drain.
 
-    The widest heap-vs-calendar gap (no callback work at all); used by
-    ``benchmarks/bench_engine_scaling.py`` for the speedup assertion.
+    No callback work at all, so the wall time is the engine's own
+    sort-and-pop cost.
     """
     import numpy as np
 
-    from repro.sim.engine import make_engine
+    from repro.sim.engine import SimulationEngine
 
     rng = np.random.default_rng(ENGINE_MICRO_SEED)
     times = rng.uniform(0.0, 1_000.0, n)
-    eng = make_engine(engine)
+    eng = SimulationEngine()
     eng.schedule_batch(times, [lambda: None] * n, handles=False)
     eng.run()
     return eng.processed_events, eng.now
 
 
 @register("engine-micro-heap", "engine",
-          description="simulator-shaped event kernel on the heap engine")
+          description="simulator-shaped event kernel on the event engine")
 def _case_engine_heap(quick: bool) -> dict[str, float]:
     n = 20_000 if quick else ENGINE_MICRO_EVENTS
-    events, now = run_engine_micro("heap", n=n)
-    return {"events": events, "final_clock_s": now}
-
-
-@register("engine-micro-calendar", "engine",
-          description="simulator-shaped event kernel on the calendar queue")
-def _case_engine_calendar(quick: bool) -> dict[str, float]:
-    n = 20_000 if quick else ENGINE_MICRO_EVENTS
-    events, now = run_engine_micro("calendar", n=n)
+    events, now = run_engine_micro(n=n)
     return {"events": events, "final_clock_s": now}
 
 
 def scale_spec(*, tasks: int):
     """The million-task scale scenario: the canonical two-node grid,
-    calendar engine, columnar workload, bulk metrics."""
-    return baseline_spec(tasks=tasks).with_(engine="calendar")
+    columnar workload, bulk metrics."""
+    return baseline_spec(tasks=tasks)
 
 
 def run_scale(tasks: int, *, hostprof=None):

@@ -345,7 +345,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         faults=FAULT_PRESETS[args.faults] if args.faults else None,
         resilience=args.resilience,
-        engine=args.engine,
         admission=args.admission,
         failover=args.failover,
         low_priority_fraction=args.low_priority,
@@ -923,7 +922,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
             area_range=(2_000, 12_000),
             seed=args.seed,
             faults=FAULT_PRESETS[args.faults] if args.faults else None,
-            engine=args.engine,
             tenants=args.tenants,
             low_priority_fraction=args.low_priority,
             flash_crowd=args.flash_crowd,
@@ -1107,9 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=2.0, help="Poisson arrivals/s")
     p.add_argument("--configurations", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", choices=("heap", "calendar"), default="heap",
-                   help="event-queue implementation (identical behavior; "
-                        "calendar is faster at scale)")
     p.add_argument("--energy", action="store_true", help="print the energy audit")
     p.add_argument("--replications", type=int, default=1, help="run N seeds and report mean +/- std")
     p.add_argument("--trace", metavar="PATH",
@@ -1324,7 +1319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", type=int, default=200)
     p.add_argument("--rate", type=float, default=2.0, help="Poisson arrivals/s")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", choices=("heap", "calendar"), default="heap")
     p.add_argument("--faults", choices=fault_presets, default=None,
                    help="inject a named fault scenario (live mode)")
     p.add_argument("--tenants", type=int, default=1, metavar="N",

@@ -104,12 +104,6 @@ class ExperimentSpec:
     #: None of its mechanisms draws randomness, so enabling it never
     #: perturbs the seeded workload or fault streams.
     resilience: ResilienceSpec | None = None
-    #: Discrete-event scheduler: ``"heap"`` (the default binary heap)
-    #: or ``"calendar"`` (the O(1) calendar queue for scale runs).
-    #: Both produce identical event orders -- locked by differential
-    #: property tests and the golden byte-identity suite -- so this is
-    #: purely a performance knob.
-    engine: str = "heap"
     #: Overload protection (:mod:`repro.sim.admission`); None = the
     #: exact unprotected simulator.  No admission policy draws
     #: randomness, so arming one never perturbs the seeded streams.
@@ -168,13 +162,6 @@ class ExperimentSpec:
                 raise ValueError("surge duration must be positive")
             if multiplier < 1.0:
                 raise ValueError("surge multiplier must be >= 1")
-        from repro.sim.engine import ENGINES
-
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose from "
-                + ", ".join(sorted(ENGINES))
-            )
 
     def with_(self, **overrides) -> "ExperimentSpec":
         """A modified copy -- the sweep primitive."""
@@ -289,7 +276,6 @@ def run_experiment(
         failover=spec.failover,
         slo=spec.slo,
         telemetry=telemetry,
-        engine=spec.engine,
         metrics=metrics,
         hostprof=hostprof,
     )
@@ -378,7 +364,6 @@ def run_scale_experiment(
         admission=spec.admission,
         failover=spec.failover,
         slo=spec.slo,
-        engine=spec.engine,
         metrics=BulkMetricsCollector(capacity=spec.tasks),
         hostprof=hostprof,
     )

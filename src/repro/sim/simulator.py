@@ -61,7 +61,7 @@ from repro.grid.network import Link, NetworkError
 from repro.grid.rms import Placement, ResourceManagementSystem, SchedulingError
 from repro.hardware.taxonomy import PEClass
 from repro.sim.admission import ADMIT, DEFER, AdmissionController, AdmissionSpec
-from repro.sim.engine import EventHandle, make_engine
+from repro.sim.engine import EventHandle, SimulationEngine
 from repro.sim.failover import (
     SUSPECT,
     FailoverSpec,
@@ -157,13 +157,12 @@ class DReAMSim:
         failover: FailoverSpec | None = None,
         slo: SLOSpec | None = None,
         telemetry: TelemetryRegistry | None = None,
-        engine: str = "heap",
         metrics: MetricsCollector | None = None,
         hostprof=None,
     ):
         if discard_after_s is not None and discard_after_s <= 0:
             raise ValueError("discard_after_s must be positive")
-        self.engine = make_engine(engine)
+        self.engine = SimulationEngine()
         self.rms = rms
         #: Host-phase profiler (None = the exact unprofiled paths:
         #: every scope below is a single attribute check, and the
@@ -425,7 +424,7 @@ class DReAMSim:
         bulk-scheduled through ``engine.schedule_batch`` with a single
         shared bound-method callback -- no per-task closure, handle, or
         JSS job is allocated -- and each :class:`Task` is materialized
-        lazily at its arrival instant.  Both engines fire equal-time
+        lazily at its arrival instant.  The engine fires equal-time
         events in scheduling order, so the cursor walks the columns in
         submission order exactly as the per-task path would.
         """

@@ -8,10 +8,10 @@ one terminal state::
 
     submitted == completed + failed + discarded + shed
 
-checked both from the report and from the online trace ledger, on both
-event engines.  Determinism rides along: identical seeded runs must
-reproduce identical traces even with admission and faults both armed,
-because no admission decision ever draws randomness.
+checked both from the report and from the online trace ledger.
+Determinism rides along: identical seeded runs must reproduce
+identical traces even with admission and faults both armed, because
+no admission decision ever draws randomness.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -85,7 +85,7 @@ fault_specs = st.builds(
 )
 
 
-def run_protected_burst(admission, faults, seed, tasks, engine):
+def run_protected_burst(admission, faults, seed, tasks):
     """One seeded bursty run (arrivals fast enough to exercise the
     queue bound) over a 2-node hybrid grid with admission armed;
     returns (report, checker, lines)."""
@@ -116,7 +116,6 @@ def run_protected_burst(admission, faults, seed, tasks, engine):
     sink = InMemorySink()
     sim = DReAMSim(
         rms,
-        engine=engine,
         tracer=Tracer(checker, sink),
         faults=FaultInjector(faults, seed=seed) if faults is not None else None,
         retry=RetryPolicy(backoff_base_s=0.2),
@@ -133,14 +132,13 @@ def run_protected_burst(admission, faults, seed, tasks, engine):
     faults=st.one_of(st.none(), fault_specs),
     seed=st.integers(0, 2**32 - 1),
     tasks=st.integers(1, 24),
-    engine=st.sampled_from(["heap", "calendar"]),
 )
 @settings(max_examples=25, deadline=None)
 def test_conservation_holds_under_any_admission_policy(
-    admission, faults, seed, tasks, engine
+    admission, faults, seed, tasks
 ):
     report, checker, _ = run_protected_burst(
-        admission, faults, seed, tasks, engine
+        admission, faults, seed, tasks
     )
     # Exact accounting, from the report...
     assert (
@@ -178,20 +176,6 @@ def test_conservation_holds_under_any_admission_policy(
 )
 @settings(max_examples=10, deadline=None)
 def test_identical_protected_runs_reproduce_traces(admission, faults, seed):
-    *_, first = run_protected_burst(admission, faults, seed, 12, "heap")
-    *_, second = run_protected_burst(admission, faults, seed, 12, "heap")
+    *_, first = run_protected_burst(admission, faults, seed, 12)
+    *_, second = run_protected_burst(admission, faults, seed, 12)
     assert first == second
-
-
-@given(
-    admission=admission_specs,
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=10, deadline=None)
-def test_engines_agree_under_admission(admission, seed):
-    """The calendar engine must replay the heap engine's protected
-    runs byte-for-byte -- admission decisions depend on event order,
-    so this is a real behavioral lock, not just a smoke test."""
-    *_, heap = run_protected_burst(admission, None, seed, 12, "heap")
-    *_, calendar = run_protected_burst(admission, None, seed, 12, "calendar")
-    assert heap == calendar

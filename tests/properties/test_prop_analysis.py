@@ -4,7 +4,7 @@ The headline invariant is conservation: whatever the run throws at a
 task -- admission deferrals, brownout, faults with retries and GPP
 fallback, control-plane failover with orphan recovery -- the phase
 ledger folded from its trace must sum to its turnaround exactly
-(within 1e-9), on both event engines.  The analysis layer is a pure
+(within 1e-9).  The analysis layer is a pure
 fold over the trace, so determinism is structural: identical traces
 must analyze identically, down to the exemplar task ids.
 """
@@ -31,14 +31,13 @@ def analyze_lines(lines):
     admission=admission_specs,
     seed=st.integers(0, 2**32 - 1),
     tasks=st.integers(1, 24),
-    engine=st.sampled_from(["heap", "calendar"]),
 )
 @settings(max_examples=25, deadline=None)
 def test_phases_sum_to_turnaround_under_chaos(
-    failover, faults, admission, seed, tasks, engine
+    failover, faults, admission, seed, tasks
 ):
     report, _, lines = run_chaos_burst(
-        failover, faults, admission, seed, tasks, engine
+        failover, faults, admission, seed, tasks
     )
     analysis = analyze_lines(lines)
     # Every submission folded into a ledger...
@@ -76,8 +75,8 @@ def test_phases_sum_to_turnaround_under_chaos(
 def test_exemplars_are_deterministic_for_a_seed(faults, seed, tasks):
     """Same seed, same run, same analysis: the exemplar capture has no
     hidden iteration-order or tie-break nondeterminism."""
-    *_, first_lines = run_chaos_burst(None, faults, None, seed, tasks, "heap")
-    *_, second_lines = run_chaos_burst(None, faults, None, seed, tasks, "heap")
+    *_, first_lines = run_chaos_burst(None, faults, None, seed, tasks)
+    *_, second_lines = run_chaos_burst(None, faults, None, seed, tasks)
     first = analyze_lines(first_lines)
     second = analyze_lines(second_lines)
     assert first.percentiles == second.percentiles

@@ -1,27 +1,23 @@
-"""Property-based tests for the discrete-event engines.
+"""Property-based tests for the discrete-event engine.
 
-The original single-engine properties now run against both the heap
-and the calendar queue; on top of those, a differential battery drives
-random schedule/batch/cancel/run programs through the two engines and
-requires identical firing orders, clocks, and event counts.  The
-calendar queue earns its place by being *indistinguishable*, not just
-fast.
+Besides the basic ordering/cancellation/until properties, a
+differential battery drives random schedule/batch/cancel/run programs
+through the engine twice: once as written, where ``handles=False``
+batches become slab runs, and once with every batch forced through
+the per-event heap path (``handles=True``, i.e. a ``schedule_at``
+loop).  The slab run must be indistinguishable from that oracle:
+identical firing orders, clocks, and event counts.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import ENGINES, make_engine
-
-ENGINE_NAMES = sorted(ENGINES)
-
-pytestmark = pytest.mark.parametrize("engine_name", ENGINE_NAMES)
+from repro.sim.engine import SimulationEngine
 
 
 @settings(max_examples=80, deadline=None)
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=40))
-def test_events_fire_in_nondecreasing_time(engine_name, delays):
-    engine = make_engine(engine_name)
+def test_events_fire_in_nondecreasing_time(delays):
+    engine = SimulationEngine()
     fired: list[float] = []
     for d in delays:
         engine.schedule(d, lambda: fired.append(engine.now))
@@ -36,8 +32,8 @@ def test_events_fire_in_nondecreasing_time(engine_name, delays):
     delays=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=2, max_size=30),
     cancel_mask=st.lists(st.booleans(), min_size=2, max_size=30),
 )
-def test_cancelled_events_never_fire(engine_name, delays, cancel_mask):
-    engine = make_engine(engine_name)
+def test_cancelled_events_never_fire(delays, cancel_mask):
+    engine = SimulationEngine()
     fired: list[int] = []
     handles = [
         engine.schedule(d, lambda i=i: fired.append(i)) for i, d in enumerate(delays)
@@ -57,8 +53,8 @@ def test_cancelled_events_never_fire(engine_name, delays, cancel_mask):
     delays=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=30),
     until=st.floats(min_value=0.0, max_value=60.0),
 )
-def test_run_until_is_a_clean_cut(engine_name, delays, until):
-    engine = make_engine(engine_name)
+def test_run_until_is_a_clean_cut(delays, until):
+    engine = SimulationEngine()
     fired: list[float] = []
     for d in delays:
         engine.schedule(d, lambda d=d: fired.append(d))
@@ -69,7 +65,7 @@ def test_run_until_is_a_clean_cut(engine_name, delays, until):
 
 
 # ----------------------------------------------------------------------
-# Differential battery: heap vs calendar on random programs
+# Differential battery: slab run vs per-event path on random programs
 # ----------------------------------------------------------------------
 
 _DELAY = st.floats(min_value=0.0, max_value=50.0)
@@ -90,13 +86,16 @@ _OP = st.one_of(
 )
 
 
-def _execute(engine_name: str, program):
+def _execute(program, *, slab: bool):
     """Run *program* on a fresh engine; return its observable history.
 
     Each scheduled event carries a unique tag, so the fired list pins
-    the exact (time, seq) order -- equal-time events included.
+    the exact (time, seq) order -- equal-time events included.  With
+    ``slab=False`` every batch is scheduled with ``handles=True`` (the
+    per-event path); the handles of batches the program asked to run
+    without handles are dropped, so ``cancel`` picks the same events.
     """
-    eng = make_engine(engine_name)
+    eng = SimulationEngine()
     fired: list[tuple[int, float]] = []
     handles: list = []
     next_tag = [0]
@@ -116,7 +115,7 @@ def _execute(engine_name: str, program):
             tags = range(next_tag[0], next_tag[0] + len(delays))
             next_tag[0] += len(delays)
             out = eng.schedule_batch(
-                times, [cb(t) for t in tags], handles=want_handles
+                times, [cb(t) for t in tags], handles=want_handles or not slab
             )
             if want_handles and out:
                 handles.extend(out)
@@ -133,12 +132,12 @@ def _execute(engine_name: str, program):
 
 @settings(max_examples=200, deadline=None)
 @given(program=st.lists(_OP, min_size=1, max_size=25))
-def test_engines_agree_on_random_programs(engine_name, program):
-    """THE differential lock: every engine replays any program with
-    the exact firing order, final clock, and event counts of the
-    reference heap engine."""
-    got = _execute(engine_name, program)
-    want = _execute("heap", program)
+def test_slab_run_matches_per_event_path(program):
+    """THE differential lock: slab runs replay any program with the
+    exact firing order, final clock, and event counts of the same
+    program scheduled event by event."""
+    got = _execute(program, slab=True)
+    want = _execute(program, slab=False)
     assert got[0] == want[0], "firing order diverged"
     assert got[1] == want[1], "final clock diverged"
     assert got[2] == want[2], "processed_events diverged"

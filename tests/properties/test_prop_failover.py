@@ -10,7 +10,7 @@ leases), every submission still reaches exactly one terminal state::
 
 with **zero tasks lost**: an orphaned placement is re-queued, never
 dropped.  Checked both from the report and from the online trace
-ledger, on both event engines, with admission control riding along.
+ledger, with admission control riding along.
 Determinism rides along too: the only randomness the failover layer
 can introduce (heartbeat-loss draws) lives on its own fault stream, so
 identically-seeded runs replay identical traces.
@@ -92,7 +92,7 @@ admission_specs = st.one_of(
 )
 
 
-def run_chaos_burst(failover, faults, admission, seed, tasks, engine):
+def run_chaos_burst(failover, faults, admission, seed, tasks):
     """One seeded bursty run over a 2-node hybrid grid with
     control-plane chaos armed; returns (report, checker, lines)."""
     network = Network.fully_connected([0, 1])
@@ -122,7 +122,6 @@ def run_chaos_burst(failover, faults, admission, seed, tasks, engine):
     sink = InMemorySink()
     sim = DReAMSim(
         rms,
-        engine=engine,
         tracer=Tracer(checker, sink),
         faults=FaultInjector(faults, seed=seed) if faults is not None else None,
         retry=RetryPolicy(backoff_base_s=0.2),
@@ -141,14 +140,13 @@ def run_chaos_burst(failover, faults, admission, seed, tasks, engine):
     admission=admission_specs,
     seed=st.integers(0, 2**32 - 1),
     tasks=st.integers(1, 24),
-    engine=st.sampled_from(["heap", "calendar"]),
 )
 @settings(max_examples=25, deadline=None)
 def test_conservation_holds_under_control_plane_chaos(
-    failover, faults, admission, seed, tasks, engine
+    failover, faults, admission, seed, tasks
 ):
     report, checker, _ = run_chaos_burst(
-        failover, faults, admission, seed, tasks, engine
+        failover, faults, admission, seed, tasks
     )
     # Exact accounting, from the report...
     assert (
@@ -187,21 +185,6 @@ def test_conservation_holds_under_control_plane_chaos(
 )
 @settings(max_examples=10, deadline=None)
 def test_identical_chaos_runs_reproduce_traces(failover, faults, seed):
-    *_, first = run_chaos_burst(failover, faults, None, seed, 12, "heap")
-    *_, second = run_chaos_burst(failover, faults, None, seed, 12, "heap")
+    *_, first = run_chaos_burst(failover, faults, None, seed, 12)
+    *_, second = run_chaos_burst(failover, faults, None, seed, 12)
     assert first == second
-
-
-@given(
-    failover=failover_specs,
-    faults=control_plane_faults,
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=10, deadline=None)
-def test_engines_agree_under_failover(failover, faults, seed):
-    """The calendar engine must replay the heap engine's failover runs
-    byte-for-byte -- detection, promotion, and lease expiry all depend
-    on event order, so this is a real behavioral lock."""
-    *_, heap = run_chaos_burst(failover, faults, None, seed, 12, "heap")
-    *_, calendar = run_chaos_burst(failover, faults, None, seed, 12, "calendar")
-    assert heap == calendar

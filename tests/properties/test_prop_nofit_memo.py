@@ -17,7 +17,7 @@ random task mixes (GPP, GPU, soft-core, bitstream and HDL tasks):
 A differential battery then runs the simulator with the memo live and
 with it defeated (``fit_key`` patched to return a fresh ``object()``,
 so no lookup ever hits) under admission, faults, failover, resilience
-and SLO objectives armed together, on both engines.  Traces, reports
+and SLO objectives armed together.  Traces, reports
 and the placement telemetry counters must agree exactly.
 """
 
@@ -359,30 +359,28 @@ def run_armed(spec):
     slo=slo_specs,
     seed=st.integers(0, 2**32 - 1),
     tasks=st.integers(10, 60),
-    engine=st.sampled_from(["heap", "calendar"]),
 )
 @settings(max_examples=40, deadline=None)
 def test_memo_matches_a_defeated_memo(
-    admission, faults, failover, resilience, slo, seed, tasks, engine
+    admission, faults, failover, resilience, slo, seed, tasks
 ):
     assert_memo_matches_defeated(ExperimentSpec(
         tasks=tasks, configurations=4, arrival_rate_per_s=16.0,
         area_range=(2_000, 14_000), gpp_fraction=0.4, seed=seed,
-        engine=engine, tenants=2, low_priority_fraction=0.3,
+        tenants=2, low_priority_fraction=0.3,
         admission=admission, faults=faults, failover=failover,
         resilience=resilience, slo=slo,
     ))
 
 
 @pytest.mark.parametrize("threshold", [0.4, 0.75])
-@pytest.mark.parametrize("engine", ["heap", "calendar"])
-def test_memo_hits_keep_the_utilization_gate_order(threshold, engine):
+def test_memo_hits_keep_the_utilization_gate_order(threshold):
     """A pass can record a no-fit while the gate is open and then, after
     a commit, cross the threshold: a later memo hit must count as gated,
     exactly like the search it skips."""
     memo, defeated = assert_memo_matches_defeated(ExperimentSpec(
         tasks=60, configurations=4, arrival_rate_per_s=16.0,
-        area_range=(2_000, 14_000), gpp_fraction=0.4, seed=0, engine=engine,
+        area_range=(2_000, 14_000), gpp_fraction=0.4, seed=0,
         admission=AdmissionSpec(utilization=UtilizationSpec(threshold=threshold)),
     ))
     assert memo < defeated  # the memo really did skip searches

@@ -2,7 +2,7 @@
 
 Randomized objective bundles (all four kinds, tenant/priority scopes,
 random windows and budgets) run against randomized admission policies
-and fault schedules on both event engines.  Three invariants:
+and fault schedules.  Three invariants:
 
 * **Pairing** -- every ``slo-alert-fire`` has a matching resolve and
   every ``slo-breach`` begin a matching end in the finalized trace
@@ -14,8 +14,9 @@ and fault schedules on both event engines.  Three invariants:
   simulated horizon.
 * **Observation-only** -- stripping ``slo-*`` events from an armed
   run's canonical trace reproduces the unarmed run byte-for-byte, and
-  the two engines agree on the armed trace byte-for-byte (alert
-  timing depends on event order, so this is a real behavioral lock).
+  identically seeded armed runs replay the armed trace byte-for-byte
+  (alert timing depends on event order, so this is a real behavioral
+  lock).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -88,13 +89,13 @@ fault_specs = st.one_of(
 )
 
 
-def run_monitored(slo, admission, faults, seed, tasks, engine):
+def run_monitored(slo, admission, faults, seed, tasks):
     """One seeded bursty multi-tenant run with the monitor armed;
     returns (report, checker, raw events)."""
     spec = ExperimentSpec(
         tasks=tasks, configurations=4, arrival_rate_per_s=8.0,
         area_range=(2_000, 14_000), gpp_fraction=0.3, seed=seed,
-        engine=engine, tenants=3, low_priority_fraction=0.3,
+        tenants=3, low_priority_fraction=0.3,
         faults=faults, admission=admission, slo=slo,
     )
     checker = TraceInvariantChecker()
@@ -116,14 +117,13 @@ def canonical_lines(events, *, strip_slo=False):
     faults=fault_specs,
     seed=st.integers(0, 2**32 - 1),
     tasks=st.integers(1, 20),
-    engine=st.sampled_from(["heap", "calendar"]),
 )
 @settings(max_examples=20, deadline=None)
 def test_alert_pairing_and_bounded_results(
-    slo, admission, faults, seed, tasks, engine
+    slo, admission, faults, seed, tasks
 ):
     report, checker, events = run_monitored(
-        slo, admission, faults, seed, tasks, engine
+        slo, admission, faults, seed, tasks
     )
     # The online checker's closure invariant after finalize.
     checker.assert_slo_closed()
@@ -170,8 +170,8 @@ def test_armed_monitor_is_observation_only(slo, admission, faults, seed):
     """Stripping slo-* events from the armed trace reproduces the
     unarmed run byte-for-byte: the monitor never perturbs simulated
     behavior, whatever is armed alongside it."""
-    *_, armed = run_monitored(slo, admission, faults, seed, 12, "heap")
-    *_, unarmed = run_monitored(None, admission, faults, seed, 12, "heap")
+    *_, armed = run_monitored(slo, admission, faults, seed, 12)
+    *_, unarmed = run_monitored(None, admission, faults, seed, 12)
     assert canonical_lines(armed, strip_slo=True) == canonical_lines(unarmed)
 
 
@@ -181,11 +181,11 @@ def test_armed_monitor_is_observation_only(slo, admission, faults, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=10, deadline=None)
-def test_engines_agree_on_armed_traces(slo, admission, seed):
-    """The calendar engine must replay the heap engine's armed run
-    byte-for-byte *including* the slo-* events -- breach and alert
-    timing depend on observation order, so agreement here proves the
-    monitor sees the identical event sequence on both engines."""
-    *_, heap = run_monitored(slo, admission, None, seed, 12, "heap")
-    *_, calendar = run_monitored(slo, admission, None, seed, 12, "calendar")
-    assert canonical_lines(heap) == canonical_lines(calendar)
+def test_identical_armed_runs_reproduce_traces(slo, admission, seed):
+    """An identically seeded armed run replays byte-for-byte
+    *including* the slo-* events -- breach and alert timing depend on
+    observation order, so this proves the monitor sees the identical
+    event sequence on every run."""
+    *_, first = run_monitored(slo, admission, None, seed, 12)
+    *_, second = run_monitored(slo, admission, None, seed, 12)
+    assert canonical_lines(first) == canonical_lines(second)

@@ -221,25 +221,24 @@ class TestHostProfiler:
         assert "host phases" in "\n".join(report.summary_lines())
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    @pytest.mark.parametrize("engine", ["heap", "calendar"])
-    def test_profiled_run_reproduces_golden_byte_identically(self, name, engine):
+    def test_profiled_run_reproduces_golden_byte_identically(self, name):
         """The profiler only reads the host clock: a profiled rerun of
         every golden scenario must replay the committed trace byte for
-        byte, on both engines (the profiled drive loop steps the
-        calendar engine event by event)."""
+        byte (the profiled drive loop steps the engine event by
+        event)."""
         from repro.sim.experiment import run_experiment
 
         spec, filename = GOLDEN[name]
         golden = (DATA_DIR / filename).read_text(encoding="ascii").splitlines()
         sink = InMemorySink()
         run_experiment(
-            spec.with_(engine=engine),
+            spec,
             tracer=Tracer(TraceInvariantChecker(), sink),
             hostprof=HostPhaseProfiler(),
         )
         fresh = [e.to_json() for e in canonical_events(list(sink.events))]
         assert fresh == golden, (
-            f"{name}/{engine}: the host-phase profiler changed the trace; "
+            f"{name}: the host-phase profiler changed the trace; "
             "it must be observation-only"
         )
 

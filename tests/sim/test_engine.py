@@ -1,20 +1,15 @@
-"""Unit tests for the discrete-event engines.
-
-Every behavioral test runs against both registered engines (heap and
-calendar queue) -- the calendar queue is a drop-in replacement, so any
-observable difference is a bug.
-"""
+"""Unit tests for the discrete-event engine."""
 
 import math
 
 import pytest
 
-from repro.sim.engine import ENGINES, SimulationError, make_engine
+from repro.sim.engine import SimulationEngine, SimulationError
 
 
-@pytest.fixture(params=sorted(ENGINES))
-def engine(request):
-    return make_engine(request.param)
+@pytest.fixture
+def engine():
+    return SimulationEngine()
 
 
 class TestScheduling:
@@ -68,7 +63,7 @@ class TestScheduling:
 class TestNonFiniteRejection:
     """Regression lock: non-finite times used to slip into the heap
     and silently corrupt its ordering (NaN compares false against
-    everything, so heap invariants break downstream).  Both engines
+    everything, so heap invariants break downstream).  The engine
     must reject them loudly at the boundary."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -133,11 +128,20 @@ class TestBatchScheduling:
         with pytest.raises(ValueError):
             engine.schedule_batch([1.0, 2.0], [lambda: None])
 
-    def test_batch_in_the_past_rejected(self, engine):
+    @pytest.mark.parametrize("handles", [True, False])
+    def test_batch_in_the_past_rejected(self, engine, handles):
         engine.schedule(5.0, lambda: None)
         engine.run()
         with pytest.raises(SimulationError):
-            engine.schedule_batch([1.0], [lambda: None])
+            engine.schedule_batch([1.0], [lambda: None], handles=handles)
+        # A mixed batch is rejected whole: its future event is not
+        # queued either.
+        with pytest.raises(SimulationError, match="clock is at 5.0"):
+            engine.schedule_batch(
+                [6.0, 4.0], [lambda: None, lambda: None], handles=handles
+            )
+        assert engine.pending_events == 0
+        assert engine.peek_time() is None
 
     def test_empty_batch_is_a_no_op(self, engine):
         assert engine.schedule_batch([], []) == []
@@ -200,13 +204,27 @@ class TestRunBounds:
         engine.run(max_events=50)
         assert engine.processed_events == 50
 
+    @pytest.mark.parametrize("until", [2.0, math.nan])
+    def test_until_before_now_or_nan_rejected(self, engine, until):
+        fired = []
+        engine.schedule(6.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError, match="simulation clock is at 6.0"):
+            engine.run(until=until)
+        assert engine.now == 6.0
+        # The clock never went back, so a later event cannot fire in
+        # the simulated past.
+        with pytest.raises(SimulationError):
+            engine.schedule_at(3.0, lambda: fired.append(3.0))
+        engine.schedule_at(7.0, lambda: fired.append(engine.now))
+        engine.run(until=6.0)
+        assert fired == [] and engine.now == 6.0
+        engine.run()
+        assert fired == [7.0]
+
     def test_step_returns_false_when_dry(self, engine):
         assert engine.step() is False
         engine.schedule(1.0, lambda: None)
         assert engine.step() is True
         assert engine.step() is False
 
-
-def test_make_engine_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown engine"):
-        make_engine("fibonacci")

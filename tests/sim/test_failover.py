@@ -269,7 +269,7 @@ class TestReplicatedRMS:
 # ---------------------------------------------------------------------------
 # Simulator scenarios
 # ---------------------------------------------------------------------------
-def build_sim(seed=7, tasks=120, engine="heap", failover=None, faults=None):
+def build_sim(seed=7, tasks=120, failover=None, faults=None):
     network = Network.fully_connected([0, 1])
     rms = ResourceManagementSystem(network=network)
     for node_id in range(2):
@@ -296,7 +296,6 @@ def build_sim(seed=7, tasks=120, engine="heap", failover=None, faults=None):
     sink = InMemorySink()
     sim = DReAMSim(
         rms,
-        engine=engine,
         tracer=Tracer(checker, sink),
         faults=FaultInjector(faults, seed=seed) if faults else None,
         retry=RetryPolicy(backoff_base_s=0.2),
@@ -365,17 +364,17 @@ class TestSimulatorFailover:
         inert = sim.run()
         assert baseline == inert
 
-    def test_engines_agree_under_failover(self):
-        def trace(engine):
+    def test_seeded_failover_rerun_reproduces_trace(self):
+        def trace():
             sim, checker, sink = build_sim(
-                seed=3, tasks=80, engine=engine,
+                seed=3, tasks=80,
                 failover=FAILOVER_PRESETS["replicated"], faults=RMS_CHAOS,
             )
             sim.run()
             checker.assert_conservation()
             return [e.to_json() for e in canonical_events(list(sink.events))]
 
-        assert trace("heap") == trace("calendar")
+        assert trace() == trace()
 
     def test_failover_emits_ordered_control_plane_events(self):
         sim, _, sink = build_sim(

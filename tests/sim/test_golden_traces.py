@@ -85,12 +85,12 @@ GOLDEN = {
 }
 
 
-def generate_trace_lines(name: str, *, engine: str = "heap") -> list[str]:
+def generate_trace_lines(name: str) -> list[str]:
     """Run the locked scenario and return canonical JSONL lines."""
     spec, _ = GOLDEN[name]
     sink = InMemorySink()
     tracer = Tracer(TraceInvariantChecker(), sink)
-    run_experiment(spec.with_(engine=engine), tracer=tracer)
+    run_experiment(spec, tracer=tracer)
     events = canonical_events(list(sink.events))
     return [event.to_json() for event in events]
 
@@ -104,22 +104,6 @@ def test_seeded_rerun_reproduces_golden_trace(name):
         f"{name} trace diverged from {golden_path.name}; if the "
         "behaviour change is intentional, regenerate with "
         "`python tests/sim/test_golden_traces.py --write`"
-    )
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_calendar_engine_reproduces_golden_trace_byte_identically(name):
-    """The engine-swap lock: the calendar queue must replay every
-    committed golden byte-for-byte.  The goldens pin the full event
-    *order* (simultaneous events included), so this proves the two
-    engines are behaviorally indistinguishable on real scenarios --
-    workload, scheduling, faults, and the resilience layer."""
-    golden_path = DATA_DIR / GOLDEN[name][1]
-    golden = golden_path.read_text(encoding="ascii").splitlines()
-    fresh = generate_trace_lines(name, engine="calendar")
-    assert fresh == golden, (
-        f"{name}: calendar-queue engine diverged from {golden_path.name}; "
-        "the engines must be byte-identical"
     )
 
 
@@ -190,18 +174,17 @@ def test_inert_slo_spec_reproduces_golden_trace_byte_identically(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-@pytest.mark.parametrize("engine", ["heap", "calendar"])
-def test_armed_slo_monitor_is_observation_only(name, engine):
+def test_armed_slo_monitor_is_observation_only(name):
     """The observation-only lock: arming the monitor with aggressive
     objectives may only *add* ``slo-*`` events.  Stripping those from
     the armed trace must reproduce the committed golden byte for byte
-    on both engines -- the monitor never schedules events, never draws
+    -- the monitor never schedules events, never draws
     randomness, never perturbs simulated state."""
     from repro.sim.slo import SLOObjective, SLOSpec
 
     spec, filename = GOLDEN[name]
     golden = (DATA_DIR / filename).read_text(encoding="ascii").splitlines()
-    armed = spec.with_(engine=engine, slo=SLOSpec(objectives=(
+    armed = spec.with_(slo=SLOSpec(objectives=(
         SLOObjective("latency", 0.05, percentile=95.0, window_s=2.0),
         SLOObjective("availability", 0.999, window_s=2.0),
         SLOObjective("queue-depth", 1.0, window_s=2.0),
@@ -214,11 +197,11 @@ def test_armed_slo_monitor_is_observation_only(name, engine):
     slo_kinds = {"slo-breach", "slo-alert-fire", "slo-alert-resolve"}
     stripped = [e.to_json() for e in events if e.kind not in slo_kinds]
     assert stripped == golden, (
-        f"{name}/{engine}: an armed SLO monitor perturbed the trace "
+        f"{name}: an armed SLO monitor perturbed the trace "
         "beyond adding slo-* events; it must be observation-only"
     )
     assert any(e.kind in slo_kinds for e in events), (
-        f"{name}/{engine}: aggressive objectives emitted no slo-* "
+        f"{name}: aggressive objectives emitted no slo-* "
         "events -- the lock is vacuous"
     )
 

@@ -29,7 +29,7 @@ MEM_BUDGET_BYTES = 64 * 1024 * 1024
 
 @pytest.fixture(scope="module")
 def scale_result():
-    spec = ExperimentSpec(tasks=TASKS, seed=5, engine="calendar")
+    spec = ExperimentSpec(tasks=TASKS, seed=5)
     tracemalloc.start()
     try:
         result = run_scale_experiment(spec)

@@ -265,14 +265,14 @@ ARMED_SPEC_OBJECTIVES = (
 )
 
 
-def chaos_tenant_spec(engine="heap"):
+def chaos_tenant_spec():
     from repro.sim.experiment import ExperimentSpec
     from repro.sim.faults import FaultSpec
 
     return ExperimentSpec(
         tasks=40, configurations=4, arrival_rate_per_s=8.0,
         area_range=(2_000, 14_000), gpp_fraction=0.2, seed=7,
-        engine=engine, tenants=3,
+        tenants=3,
         faults=FaultSpec(
             crash_rate_per_s=0.25, downtime_range_s=(1.0, 3.0),
             config_fault_prob=0.35, seu_rate_per_s=0.2, horizon_s=8.0,
@@ -332,17 +332,16 @@ class TestSimulatorIntegration:
 class TestTenantRoundTrip:
     """Satellite lock: workload tenant tags must round-trip through the
     trace (``extra['tenant']`` on submit), the metrics collectors, and
-    the per-tenant report section -- on both engines, under faults,
+    the per-tenant report section -- under faults,
     with byte-equal standard and bulk reports."""
 
-    @pytest.mark.parametrize("engine", ["heap", "calendar"])
-    def test_tenants_flow_from_workload_to_trace_and_report(self, engine):
+    def test_tenants_flow_from_workload_to_trace_and_report(self):
         from repro.sim.experiment import run_experiment
         from repro.sim.tracing import InMemorySink, TraceInvariantChecker, Tracer
 
         sink = InMemorySink()
         report = run_experiment(
-            chaos_tenant_spec(engine),
+            chaos_tenant_spec(),
             tracer=Tracer(TraceInvariantChecker(), sink),
         ).report
         tags = {
