@@ -221,6 +221,46 @@ def _spec_workload(spec: ExperimentSpec) -> WorkloadSpec:
     )
 
 
+def _set_up(
+    spec: ExperimentSpec, arrivals: ArrivalProcess | None, **sim_options
+) -> tuple[DReAMSim, SyntheticWorkload]:
+    """The one set-up of both run paths: grid, configuration pool,
+    seeded workload, fault injector and simulator.  *sim_options* are
+    the per-path :class:`DReAMSim` arguments (collector, tracer, ...)."""
+    rms = build_grid(spec)
+    pool = ConfigurationPool(
+        spec.configurations,
+        area_range=spec.area_range,
+        speedup_range=spec.speedup_range,
+        seed=spec.seed,
+    )
+    pool.populate_repository(
+        rms.virtualization.repository,
+        [rpe.device for node in rms.nodes for rpe in node.rpes],
+    )
+    workload = SyntheticWorkload(
+        _spec_workload(spec),
+        pool,
+        arrivals or _spec_arrivals(spec),
+        seed=spec.seed,
+    )
+    injector = (
+        FaultInjector(spec.faults, seed=spec.seed) if spec.faults is not None else None
+    )
+    sim = DReAMSim(
+        rms,
+        discard_after_s=spec.discard_after_s,
+        faults=injector,
+        retry=spec.retry,
+        resilience=spec.resilience,
+        admission=spec.admission,
+        failover=spec.failover,
+        slo=spec.slo,
+        **sim_options,
+    )
+    return sim, workload
+
+
 def run_experiment(
     spec: ExperimentSpec,
     *,
@@ -245,38 +285,8 @@ def run_experiment(
     attaches a :class:`~repro.sim.hostprof.HostPhaseProfiler`, whose
     phase table lands on the report (``host_phase_s``).
     """
-    rms = build_grid(spec)
-    pool = ConfigurationPool(
-        spec.configurations,
-        area_range=spec.area_range,
-        speedup_range=spec.speedup_range,
-        seed=spec.seed,
-    )
-    pool.populate_repository(
-        rms.virtualization.repository,
-        [rpe.device for node in rms.nodes for rpe in node.rpes],
-    )
-    workload = SyntheticWorkload(
-        _spec_workload(spec),
-        pool,
-        arrivals or _spec_arrivals(spec),
-        seed=spec.seed,
-    )
-    injector = (
-        FaultInjector(spec.faults, seed=spec.seed) if spec.faults is not None else None
-    )
-    sim = DReAMSim(
-        rms,
-        discard_after_s=spec.discard_after_s,
-        tracer=tracer,
-        faults=injector,
-        retry=spec.retry,
-        resilience=spec.resilience,
-        admission=spec.admission,
-        failover=spec.failover,
-        slo=spec.slo,
-        telemetry=telemetry,
-        metrics=metrics,
+    sim, workload = _set_up(
+        spec, arrivals, tracer=tracer, telemetry=telemetry, metrics=metrics,
         hostprof=hostprof,
     )
     sim.submit_workload(workload.generate())
@@ -290,7 +300,7 @@ def run_experiment(
             tasks=spec.tasks,
             seed=spec.seed,
             arrival_rate_per_s=spec.arrival_rate_per_s,
-            nodes=len(rms.nodes),
+            nodes=len(sim.rms.nodes),
             faults=spec.faults is not None,
             resilience=(
                 spec.resilience.describe() if spec.resilience is not None else {}
@@ -305,7 +315,7 @@ def run_experiment(
             horizon_s=report.horizon_s,
             summary=report.summary_lines(),
         )
-    energy = EnergyAuditor(rms).audit(sim) if audit_energy else None
+    energy = EnergyAuditor(sim.rms).audit(sim) if audit_energy else None
     return ExperimentResult(spec=spec, report=report, energy=energy)
 
 
@@ -314,62 +324,30 @@ def run_scale_experiment(
 ) -> ExperimentResult:
     """Run one experiment through the million-task hot path.
 
-    Same grid and seed handling as :func:`run_experiment`, but every
-    per-task allocation is stripped out of the steady state:
+    Same set-up, seed and workload as :func:`run_experiment`, so the
+    same spec gives the same report on both paths.  Only submission
+    and storage differ:
 
-    * the workload is drawn as numpy columns
+    * The workload stays numpy columns
       (:meth:`~repro.sim.workload.SyntheticWorkload.generate_columns`)
-      and each :class:`~repro.core.task.Task` is materialized lazily at
-      its arrival instant;
-    * arrivals are bulk-scheduled (``engine.schedule_batch``) with one
-      shared callback -- no per-task closure, handle, or JSS job;
-    * metrics accumulate into numpy columns
+      and each :class:`~repro.core.task.Task` is materialized at its
+      arrival instant.
+    * Arrivals are bulk-scheduled (``engine.schedule_batch``) with one
+      shared callback: no per-task closure, handle, or JSS job.
+    * Metrics accumulate into numpy columns
       (:class:`~repro.sim.metrics.BulkMetricsCollector`).
 
-    The column draw order differs from ``generate()``'s per-task order,
-    so a scale run is a *different* (equally valid) seeded workload
-    than ``run_experiment`` with the same spec; scale runs are only
-    compared against scale runs.  Tracers, telemetry, and the energy
-    auditor need per-task records and are deliberately unsupported
-    here -- use :func:`run_experiment` for those.
+    Tracers, telemetry, and the energy auditor need per-task records
+    and are not supported here; use :func:`run_experiment` for those.
     """
     from repro.sim.metrics import BulkMetricsCollector
 
-    rms = build_grid(spec)
-    pool = ConfigurationPool(
-        spec.configurations,
-        area_range=spec.area_range,
-        speedup_range=spec.speedup_range,
-        seed=spec.seed,
-    )
-    pool.populate_repository(
-        rms.virtualization.repository,
-        [rpe.device for node in rms.nodes for rpe in node.rpes],
-    )
-    workload = SyntheticWorkload(
-        _spec_workload(spec),
-        pool,
-        _spec_arrivals(spec),
-        seed=spec.seed,
-    )
-    injector = (
-        FaultInjector(spec.faults, seed=spec.seed) if spec.faults is not None else None
-    )
-    sim = DReAMSim(
-        rms,
-        discard_after_s=spec.discard_after_s,
-        faults=injector,
-        retry=spec.retry,
-        resilience=spec.resilience,
-        admission=spec.admission,
-        failover=spec.failover,
-        slo=spec.slo,
-        metrics=BulkMetricsCollector(capacity=spec.tasks),
+    sim, workload = _set_up(
+        spec, None, metrics=BulkMetricsCollector(capacity=spec.tasks),
         hostprof=hostprof,
     )
     sim.submit_workload_columns(workload.generate_columns())
-    report = sim.run()
-    return ExperimentResult(spec=spec, report=report, energy=None)
+    return ExperimentResult(spec=spec, report=sim.run(), energy=None)
 
 
 def sweep(base: ExperimentSpec, field_name: str, values) -> list[ExperimentResult]:

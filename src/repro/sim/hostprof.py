@@ -17,6 +17,9 @@ Design constraints, in order:
 * **Self-time scopes.**  Scopes nest (dispatch calls matchmaking);
   entering a child charges the elapsed slice to the parent, so phase
   seconds are exclusive self-time and sum to the profiled span.
+  ``DReAMSim.run`` opens one ``engine`` scope per run around the whole
+  event loop, so ``engine`` keeps the pop/push and handler glue that
+  no nested scope takes back, and its call count is 1 per run.
 * **Cheap.**  ``enter``/``leave`` are two dict updates and one
   ``perf_counter_ns`` call each -- the enabled overhead budget is <5%
   wall on the quick bench suite.

@@ -1103,7 +1103,7 @@ class BulkMetricsCollector(MetricsCollector):
         i = self._index[key]
         self._finish[i] = time
         usage = self.resources.setdefault(resource_label, ResourceUsage(resource_label))
-        start = self._start[i]
+        start = float(self._start[i])
         if not np.isnan(start):
             usage.busy_s += time - start
         usage.tasks_executed += 1

@@ -2458,44 +2458,21 @@ class DReAMSim:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def _run_profiled(self, until: float | None, max_events: int | None) -> None:
-        """Drive the engine one event at a time under ``engine`` scopes.
+    def run(self, until: float | None = None, max_events: int | None = None) -> SimulationReport:
+        """Drive the engine (see :meth:`SimulationEngine.run` for
+        ``until`` and ``max_events``) and report.
 
-        Fires exactly the events ``engine.run`` would, in the same
-        order (``step`` pops the identical next event), so profiling
-        never changes simulated behavior.  ``step`` runs the handler
-        too, so the ``engine`` scope holds pop/push plus handler glue;
+        With a host profiler the whole drive is one ``engine`` scope;
         handlers that enter their own scopes (matchmaking, dispatch,
-        faults, telemetry) reclaim that time from it -- scopes nest,
-        and the profiler charges exclusive self-time.
+        faults, telemetry) take their self-time back from it.
         """
         prof = self.hostprof
-        engine = self.engine
-        fired = 0
-        while True:
-            if max_events is not None and fired >= max_events:
-                break
-            prof.enter("engine")
-            next_time = engine.peek_time()
-            if next_time is None:
-                prof.leave()
-                break
-            if until is not None and next_time > until:
-                prof.leave()
-                break
-            engine.step()
-            prof.leave()
-            fired += 1
-        if until is not None and engine.now < until:
-            engine.now = until
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> SimulationReport:
-        prof = self.hostprof
-        if prof is None:
-            self.engine.run(until=until, max_events=max_events)
-        else:
+        if prof is not None:
             prof.start()
-            self._run_profiled(until, max_events)
+            prof.enter("engine")
+        self.engine.run(until=until, max_events=max_events)
+        if prof is not None:
+            prof.leave()
         if self.health is not None:
             self.metrics.record_quarantine_stats(
                 episodes=self.health.total_quarantine_episodes(),

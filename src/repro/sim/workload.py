@@ -19,10 +19,11 @@ required times" (Section V).  This module generates exactly those:
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -413,6 +414,8 @@ class WorkloadColumns:
     path (``DReAMSim.submit_workload_columns``) bulk-schedules
     ``times`` and calls :meth:`task` once per arrival instant, so at no
     point do a million :class:`Task` trees exist simultaneously.
+    :meth:`materialize` builds the whole eager stream instead; both go
+    through :meth:`_build`, so a row becomes the same Task either way.
     """
 
     spec: WorkloadSpec
@@ -428,54 +431,70 @@ class WorkloadColumns:
     def __len__(self) -> int:
         return len(self.times)
 
-    def _tenant(self, task_id: int) -> str:
-        return f"tenant{task_id % self.spec.tenants}" if self.spec.tenants > 1 else ""
-
-    def task(self, i: int) -> Task:
-        """Materialize task *i* exactly as ``generate()`` would."""
-        task_id = self.first_task_id + i
-        ref_time = float(self.ref_times[i])
-        data_bytes = int(self.data_bytes[i])
-        workload_mi = ref_time * self.spec.reference_mips
-        if self.is_gpp[i]:
-            return Task(
-                task_id=task_id,
-                data_in=(DataIn(EXTERNAL_SOURCE, 0, data_bytes),),
-                data_out=(DataOut(0, data_bytes // 2),),
-                exec_req=ExecReq(
-                    node_type=PEClass.GPP,
-                    artifacts=Artifacts(application_code="synthetic", input_data_bytes=data_bytes),
-                ),
-                t_estimated=ref_time,
-                workload_mi=workload_mi,
-                function="",
-                priority=int(self.priority[i]),
-                tenant=self._tenant(task_id),
+    def _build(
+        self, task_id: int, ref_time: float, data_bytes: int, pool_idx: int,
+        priority: int,
+    ) -> Task:
+        """The one Task constructor for a row (plain Python scalars)."""
+        artifacts = Artifacts(application_code="synthetic", input_data_bytes=data_bytes)
+        if pool_idx < 0:
+            exec_req = ExecReq(node_type=PEClass.GPP, artifacts=artifacts)
+            t_estimated, function = ref_time, ""
+        else:
+            entry = self.pool.entries[pool_idx]
+            exec_req = ExecReq(
+                node_type=PEClass.RPE,
+                constraints=(MinValue("slices", entry.required_slices),),
+                artifacts=artifacts,
             )
-        entry = self.pool.entries[int(self.pool_idx[i])]
+            t_estimated = ref_time / entry.speedup_vs_gpp
+            function = entry.function
+        tenants = self.spec.tenants
         return Task(
             task_id=task_id,
             data_in=(DataIn(EXTERNAL_SOURCE, 0, data_bytes),),
             data_out=(DataOut(0, data_bytes // 2),),
-            exec_req=ExecReq(
-                node_type=PEClass.RPE,
-                constraints=(MinValue("slices", entry.required_slices),),
-                artifacts=Artifacts(application_code="synthetic", input_data_bytes=data_bytes),
-            ),
-            t_estimated=ref_time / entry.speedup_vs_gpp,
-            workload_mi=workload_mi,
-            function=entry.function,
-            priority=int(self.priority[i]),
-            tenant=self._tenant(task_id),
+            exec_req=exec_req,
+            t_estimated=t_estimated,
+            workload_mi=ref_time * self.spec.reference_mips,
+            function=function,
+            priority=priority,
+            tenant=f"tenant{task_id % tenants}" if tenants > 1 else "",
+        )
+
+    def task(self, i: int) -> Task:
+        """Materialize task *i* (the scale path's per-arrival call)."""
+        return self._build(
+            self.first_task_id + i,
+            float(self.ref_times[i]),
+            int(self.data_bytes[i]),
+            int(self.pool_idx[i]),
+            int(self.priority[i]),
         )
 
     def materialize(self) -> list[tuple[float, Task]]:
-        """Expand to the eager (time, Task) stream (tests, small runs)."""
-        return [(float(self.times[i]), self.task(i)) for i in range(len(self))]
+        """Expand to the eager ``(time, Task)`` stream."""
+        rows = zip(
+            self.times.tolist(),
+            self.ref_times.tolist(),
+            self.data_bytes.tolist(),
+            self.pool_idx.tolist(),
+            self.priority.tolist(),
+        )
+        first = self.first_task_id
+        return [
+            (time, self._build(first + i, ref_time, data_bytes, pool_idx, priority))
+            for i, (time, ref_time, data_bytes, pool_idx, priority) in enumerate(rows)
+        ]
 
 
 class SyntheticWorkload:
-    """Seeded generator of (arrival_time, Task) streams."""
+    """Seeded generator of (arrival_time, Task) streams.
+
+    The spec, pool, arrival process and seed name exactly one workload:
+    :meth:`generate` and :meth:`generate_columns` return it eagerly and
+    as columns, and repeated calls return it again.
+    """
 
     def __init__(
         self,
@@ -494,135 +513,45 @@ class SyntheticWorkload:
 
     def generate(self) -> list[tuple[float, Task]]:
         """Produce the full arrival stream, deterministically."""
-        rng = np.random.default_rng(self.seed)
-        times = self.arrivals.arrival_times(self.spec.task_count, rng)
-        out: list[tuple[float, Task]] = []
-        for i in range(self.spec.task_count):
-            task_id = self.first_task_id + i
-            ref_time = float(rng.uniform(*self.spec.required_time_range_s))
-            data_bytes = int(rng.integers(*self.spec.data_size_range_bytes))
-            workload_mi = ref_time * self.spec.reference_mips
-            # Gated on the fraction so the default (0.0) consumes zero
-            # draws and pre-admission seed streams stay byte-identical.
-            priority = 0
-            if self.spec.low_priority_fraction > 0.0:
-                priority = (
-                    -1 if float(rng.random()) < self.spec.low_priority_fraction else 0
-                )
-            tenant = (
-                f"tenant{task_id % self.spec.tenants}" if self.spec.tenants > 1 else ""
-            )
-            if rng.random() < self.spec.gpp_fraction:
-                task = Task(
-                    task_id=task_id,
-                    data_in=(DataIn(EXTERNAL_SOURCE, 0, data_bytes),),
-                    data_out=(DataOut(0, data_bytes // 2),),
-                    exec_req=ExecReq(
-                        node_type=PEClass.GPP,
-                        artifacts=Artifacts(application_code="synthetic", input_data_bytes=data_bytes),
-                    ),
-                    t_estimated=ref_time,
-                    workload_mi=workload_mi,
-                    function="",
-                    priority=priority,
-                    tenant=tenant,
-                )
-            else:
-                entry = self.pool.entries[int(rng.integers(len(self.pool.entries)))]
-                task = Task(
-                    task_id=task_id,
-                    data_in=(DataIn(EXTERNAL_SOURCE, 0, data_bytes),),
-                    data_out=(DataOut(0, data_bytes // 2),),
-                    exec_req=ExecReq(
-                        node_type=PEClass.RPE,
-                        constraints=(MinValue("slices", entry.required_slices),),
-                        artifacts=Artifacts(application_code="synthetic", input_data_bytes=data_bytes),
-                    ),
-                    t_estimated=ref_time / entry.speedup_vs_gpp,
-                    workload_mi=workload_mi,
-                    function=entry.function,
-                    priority=priority,
-                    tenant=tenant,
-                )
-            out.append((float(times[i]), task))
-        return out
+        return self.generate_columns().materialize()
 
     def generate_columns(self) -> WorkloadColumns:
-        """Vectorized columnar generation for scale runs.
+        """Draw the workload as columns.
 
-        Draws whole columns (arrivals, required times, data sizes,
-        class mix, pool picks) in one numpy call each instead of one
-        task at a time.  Column order differs from ``generate()``'s
-        interleaved per-task order, so the two paths consume the seed
-        stream differently and yield *different* (equally valid)
-        workloads; ``generate_columns_scalar()`` is the scalar
-        reference for THIS draw order, and the stream-identity tests
-        lock the two together element-for-element.
+        The arrival times come first, in one batch.  Then each task
+        draws, in order: its required time, its data size, its priority
+        class (only when ``low_priority_fraction > 0``, so the default
+        consumes no draw), its PE class, and, for a hardware task, its
+        pool entry.  Stateful arrival processes (traces, flash crowds)
+        are drawn from a copy, so repeated calls return the same
+        workload and leave ``self.arrivals`` untouched.
         """
+        spec = self.spec
         rng = np.random.default_rng(self.seed)
-        n = self.spec.task_count
-        times = self.arrivals.arrival_times(n, rng)
-        lo, hi = self.spec.required_time_range_s
-        dlo, dhi = self.spec.data_size_range_bytes
-        ref_times = rng.uniform(lo, hi, n)
-        data_bytes = rng.integers(dlo, dhi, n)
-        is_gpp = rng.random(n) < self.spec.gpp_fraction
+        n = spec.task_count
+        times = copy.copy(self.arrivals).arrival_times(n, rng)
+        lo, hi = spec.required_time_range_s
+        dlo, dhi = spec.data_size_range_bytes
+        low_fraction = spec.low_priority_fraction
+        gpp_fraction = spec.gpp_fraction
+        pool_size = len(self.pool.entries)
+        ref_times = np.empty(n)
+        data_bytes = np.empty(n, dtype=np.int64)
+        is_gpp = np.zeros(n, dtype=bool)
         pool_idx = np.full(n, -1, dtype=np.int64)
-        hw = ~is_gpp
-        hw_count = int(hw.sum())
-        if hw_count:
-            pool_idx[hw] = rng.integers(len(self.pool.entries), size=hw_count)
-        # Gated like generate(): the default fraction of 0.0 draws
-        # nothing, keeping pre-admission column streams byte-identical.
         priority = np.zeros(n, dtype=np.int64)
-        if self.spec.low_priority_fraction > 0.0:
-            priority = np.where(
-                rng.random(n) < self.spec.low_priority_fraction, -1, 0
-            ).astype(np.int64)
-        return WorkloadColumns(
-            spec=self.spec,
-            pool=self.pool,
-            first_task_id=self.first_task_id,
-            times=times,
-            ref_times=ref_times,
-            data_bytes=np.asarray(data_bytes, dtype=np.int64),
-            is_gpp=is_gpp,
-            pool_idx=pool_idx,
-            priority=priority,
-        )
-
-    def generate_columns_scalar(self) -> WorkloadColumns:
-        """Scalar reference for ``generate_columns``: identical draw
-        order, one value at a time.  Exists so tests can assert the
-        vectorized path is stream-identical; never use it at scale."""
-        rng = np.random.default_rng(self.seed)
-        n = self.spec.task_count
-        times = ArrivalProcess.arrival_times(self.arrivals, n, rng)
-        lo, hi = self.spec.required_time_range_s
-        dlo, dhi = self.spec.data_size_range_bytes
-        ref_times = np.array([float(rng.uniform(lo, hi)) for _ in range(n)])
-        data_bytes = np.array(
-            [int(rng.integers(dlo, dhi)) for _ in range(n)], dtype=np.int64
-        )
-        is_gpp = np.array(
-            [float(rng.random()) < self.spec.gpp_fraction for _ in range(n)],
-            dtype=bool,
-        )
-        pool_idx = np.full(n, -1, dtype=np.int64)
+        uniform, integers, random = rng.uniform, rng.integers, rng.random
         for i in range(n):
-            if not is_gpp[i]:
-                pool_idx[i] = int(rng.integers(len(self.pool.entries)))
-        priority = np.zeros(n, dtype=np.int64)
-        if self.spec.low_priority_fraction > 0.0:
-            priority = np.array(
-                [
-                    -1 if float(rng.random()) < self.spec.low_priority_fraction else 0
-                    for _ in range(n)
-                ],
-                dtype=np.int64,
-            )
+            ref_times[i] = uniform(lo, hi)
+            data_bytes[i] = integers(dlo, dhi)
+            if low_fraction > 0.0 and random() < low_fraction:
+                priority[i] = -1
+            if random() < gpp_fraction:
+                is_gpp[i] = True
+            else:
+                pool_idx[i] = integers(pool_size)
         return WorkloadColumns(
-            spec=self.spec,
+            spec=spec,
             pool=self.pool,
             first_task_id=self.first_task_id,
             times=times,

@@ -215,6 +215,8 @@ class TestHostProfiler:
                       "metrics"):
             assert report.host_phase_s.get(phase, 0.0) > 0.0, phase
             assert report.host_phase_calls.get(phase, 0) > 0, phase
+        # The whole drive is one engine scope.
+        assert report.host_phase_calls["engine"] == 1
         assert sum(report.host_phase_s.values()) == pytest.approx(
             prof.total_seconds()
         )
@@ -224,8 +226,7 @@ class TestHostProfiler:
     def test_profiled_run_reproduces_golden_byte_identically(self, name):
         """The profiler only reads the host clock: a profiled rerun of
         every golden scenario must replay the committed trace byte for
-        byte (the profiled drive loop steps the engine event by
-        event)."""
+        byte."""
         from repro.sim.experiment import run_experiment
 
         spec, filename = GOLDEN[name]
@@ -241,6 +242,18 @@ class TestHostProfiler:
             f"{name}: the host-phase profiler changed the trace; "
             "it must be observation-only"
         )
+
+    @pytest.mark.parametrize("until", [float("nan"), -1.0])
+    @pytest.mark.parametrize("profiled", [False, True], ids=["plain", "profiled"])
+    def test_run_rejects_nan_or_past_until(self, until, profiled):
+        from repro.sim.engine import SimulationError
+        from repro.sim.simulator import DReAMSim
+
+        rms, _ = gpp_rms()
+        sim = DReAMSim(rms, hostprof=HostPhaseProfiler() if profiled else None)
+        sim.submit_graph([gpp_task(0)])
+        with pytest.raises(SimulationError):
+            sim.run(until=until)
 
     def test_scope_nesting_charges_self_time(self):
         prof = HostPhaseProfiler()

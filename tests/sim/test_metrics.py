@@ -115,7 +115,12 @@ class TestBulkCollector:
             coll.record_arrival("d", 4.0)
             coll.record_discard("d", 9.0)
             coll.record_arrival("e", 5.0)  # pending forever
-        assert asdict(std.report(10.0)) == asdict(bulk.report(10.0))
+        # At 10 s node0:RPE0 is saturated (utilization capped at 1.0);
+        # at 20 s its utilization is the busy-time ratio itself.
+        for horizon in (10.0, 20.0):
+            std_report, bulk_report = std.report(horizon), bulk.report(horizon)
+            assert asdict(std_report) == asdict(bulk_report)
+            assert repr(std_report) == repr(bulk_report)
 
     def test_bulk_capacity_grows_past_initial_allocation(self):
         bulk = BulkMetricsCollector(capacity=4)
@@ -188,3 +193,5 @@ class TestBulkCollector:
         standard = run_experiment(spec).report
         bulk_result = run_experiment(spec, metrics=BulkMetricsCollector())
         assert asdict(bulk_result.report) == asdict(standard)
+        # repr also tells a numpy scalar from the float it equals.
+        assert repr(bulk_result.report) == repr(standard)

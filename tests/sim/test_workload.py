@@ -12,6 +12,7 @@ from repro.sim.workload import (
     FlashCrowdArrivals,
     PoissonArrivals,
     SyntheticWorkload,
+    TraceArrivals,
     UniformArrivals,
     WorkloadSpec,
 )
@@ -289,22 +290,6 @@ class TestVectorizedStreamIdentity:
             first_task_id=100,
         )
 
-    def test_generate_columns_matches_scalar_reference(self):
-        fast = self.make().generate_columns()
-        slow = self.make().generate_columns_scalar()
-        np.testing.assert_array_equal(fast.times, slow.times)
-        np.testing.assert_array_equal(fast.ref_times, slow.ref_times)
-        np.testing.assert_array_equal(fast.data_bytes, slow.data_bytes)
-        np.testing.assert_array_equal(fast.is_gpp, slow.is_gpp)
-        np.testing.assert_array_equal(fast.pool_idx, slow.pool_idx)
-
-    @pytest.mark.parametrize("gpp_fraction", [0.0, 0.3, 1.0])
-    def test_column_identity_across_class_mixes(self, gpp_fraction):
-        wl = self.make(gpp_fraction=gpp_fraction, task_count=200)
-        fast, slow = wl.generate_columns(), wl.generate_columns_scalar()
-        np.testing.assert_array_equal(fast.is_gpp, slow.is_gpp)
-        np.testing.assert_array_equal(fast.pool_idx, slow.pool_idx)
-
     def test_materialized_columns_build_generate_shaped_tasks(self):
         wl = self.make(task_count=50)
         columns = wl.generate_columns()
@@ -338,3 +323,112 @@ class TestVectorizedStreamIdentity:
         a, b = self.make().generate_columns(), self.make().generate_columns()
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.pool_idx, b.pool_idx)
+
+
+#: The first rows ``(time, ref_time, data_bytes, pool_idx, priority)``
+#: of ``pinned_workload`` per ``(gpp_fraction, low_priority_fraction)``.
+#: The draw order decides every seeded experiment (and the committed
+#: goldens), so a change here is a change to all of them.
+PINNED_ROWS = {
+    (0.0, 0.0): [
+        (0.05500740633901992, 2.4490712310641323, 2630441, 2, 0),
+        (0.24983584312587181, 3.8055971813414655, 200497, 0, 0),
+        (0.949606322185491, 2.8253308217961366, 1800089, 2, 0),
+        (2.049680370076181, 3.820270042814721, 3189945, 5, 0),
+        (2.2214272796603423, 3.4184624318592127, 2750731, 4, 0),
+    ],
+    (0.3, 0.0): [
+        (0.05500740633901992, 2.4490712310641323, 2630441, -1, 0),
+        (0.24983584312587181, 3.8055971813414655, 2043427, -1, 0),
+        (0.949606322185491, 2.260526857230479, 3731159, 3, 0),
+        (2.049680370076181, 3.1405935714716335, 779121, 4, 0),
+        (2.2214272796603423, 1.7789052368695615, 1386694, 3, 0),
+    ],
+    (1.0, 0.0): [
+        (0.05500740633901992, 2.4490712310641323, 2630441, -1, 0),
+        (0.24983584312587181, 3.8055971813414655, 2043427, -1, 0),
+        (0.949606322185491, 2.260526857230479, 3731159, -1, 0),
+        (2.049680370076181, 3.1405935714716335, 2199036, -1, 0),
+        (2.2214272796603423, 4.803202646762443, 3311575, -1, 0),
+    ],
+    (0.3, 0.3): [
+        (0.05500740633901992, 2.4490712310641323, 2630441, 2, -1),
+        (0.24983584312587181, 1.0115240896463153, 1932262, 2, 0),
+        (0.949606322185491, 3.1405935714716335, 779121, -1, 0),
+        (2.049680370076181, 3.4184624318592127, 3111897, -1, 0),
+        (2.2214272796603423, 0.5067053757897628, 383107, 5, -1),
+    ],
+}
+
+
+def pinned_workload(arrivals=None, **spec_overrides):
+    spec_params = dict(task_count=5)
+    spec_params.update(spec_overrides)
+    return SyntheticWorkload(
+        WorkloadSpec(**spec_params),
+        ConfigurationPool(6, seed=4),
+        arrivals or PoissonArrivals(2.0),
+        seed=3,
+        first_task_id=100,
+    )
+
+
+def fraction_id(fractions):
+    return "gpp{}-low{}".format(*fractions)
+
+
+def stateful_arrivals():
+    return [
+        FlashCrowdArrivals(
+            2.0, surge_start_s=5.0, surge_duration_s=5.0, surge_multiplier=8.0
+        ),
+        TraceArrivals([0.1 * i for i in range(20)]),
+    ]
+
+
+class TestOneWorkloadStream:
+    """A workload spec and seed name one workload: ``generate()`` and
+    ``generate_columns()`` return the same tasks, in the same draw
+    order, on every call."""
+
+    @pytest.mark.parametrize("fractions", sorted(PINNED_ROWS), ids=fraction_id)
+    def test_draw_order_is_pinned(self, fractions):
+        gpp_fraction, low_priority_fraction = fractions
+        columns = pinned_workload(
+            gpp_fraction=gpp_fraction, low_priority_fraction=low_priority_fraction
+        ).generate_columns()
+        rows = list(zip(
+            columns.times.tolist(),
+            columns.ref_times.tolist(),
+            columns.data_bytes.tolist(),
+            columns.pool_idx.tolist(),
+            columns.priority.tolist(),
+        ))
+        assert rows == PINNED_ROWS[fractions]
+
+    @pytest.mark.parametrize(
+        "arrivals",
+        [PoissonArrivals(2.0), UniformArrivals(0.25, 1.75), DeterministicArrivals(0.5)]
+        + stateful_arrivals(),
+        ids=["poisson", "uniform", "deterministic", "flash-crowd", "trace"],
+    )
+    @pytest.mark.parametrize("fractions", sorted(PINNED_ROWS), ids=fraction_id)
+    def test_generate_is_the_materialized_columns(self, arrivals, fractions):
+        gpp_fraction, low_priority_fraction = fractions
+        wl = pinned_workload(
+            arrivals, task_count=20, tenants=3, gpp_fraction=gpp_fraction,
+            low_priority_fraction=low_priority_fraction,
+        )
+        columns = wl.generate_columns()
+        stream = wl.generate()
+        assert stream == columns.materialize()
+        assert [task for _, task in stream] == [
+            columns.task(i) for i in range(len(columns))
+        ]
+
+    @pytest.mark.parametrize("arrivals", stateful_arrivals(), ids=["flash-crowd", "trace"])
+    def test_stateful_arrivals_repeat(self, arrivals):
+        wl = pinned_workload(arrivals, task_count=20)
+        first = wl.generate()
+        assert wl.generate() == first
+        assert wl.generate_columns().materialize() == first
