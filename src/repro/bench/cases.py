@@ -922,7 +922,7 @@ def _case_engine_heap(quick: bool) -> dict[str, float]:
 
 def scale_spec(*, tasks: int):
     """The million-task scale scenario: the canonical two-node grid,
-    columnar workload, bulk metrics."""
+    columnar workload and metrics."""
     return baseline_spec(tasks=tasks)
 
 

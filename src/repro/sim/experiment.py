@@ -226,7 +226,7 @@ def _set_up(
 ) -> tuple[DReAMSim, SyntheticWorkload]:
     """The one set-up of both run paths: grid, configuration pool,
     seeded workload, fault injector and simulator.  *sim_options* are
-    the per-path :class:`DReAMSim` arguments (collector, tracer, ...)."""
+    the per-path :class:`DReAMSim` arguments (tracer, telemetry, ...)."""
     rms = build_grid(spec)
     pool = ConfigurationPool(
         spec.configurations,
@@ -268,7 +268,6 @@ def run_experiment(
     audit_energy: bool = False,
     tracer: Tracer | None = None,
     telemetry: TelemetryRegistry | None = None,
-    metrics=None,
     hostprof=None,
 ) -> ExperimentResult:
     """Build, run, and report one experiment.
@@ -280,14 +279,12 @@ def run_experiment(
     validates the run online).  ``telemetry`` receives sim-time series
     (:class:`~repro.sim.telemetry.TelemetryRegistry`); after the run
     its ``meta`` carries the spec's headline knobs for the dashboard.
-    ``metrics`` swaps in a custom collector (e.g.
-    :class:`~repro.sim.metrics.BulkMetricsCollector`).  ``hostprof``
-    attaches a :class:`~repro.sim.hostprof.HostPhaseProfiler`, whose
-    phase table lands on the report (``host_phase_s``).
+    ``hostprof`` attaches a
+    :class:`~repro.sim.hostprof.HostPhaseProfiler`, whose phase table
+    lands on the report (``host_phase_s``).
     """
     sim, workload = _set_up(
-        spec, arrivals, tracer=tracer, telemetry=telemetry, metrics=metrics,
-        hostprof=hostprof,
+        spec, arrivals, tracer=tracer, telemetry=telemetry, hostprof=hostprof,
     )
     sim.submit_workload(workload.generate())
     report = sim.run()
@@ -324,9 +321,9 @@ def run_scale_experiment(
 ) -> ExperimentResult:
     """Run one experiment through the million-task hot path.
 
-    Same set-up, seed and workload as :func:`run_experiment`, so the
-    same spec gives the same report on both paths.  Only submission
-    and storage differ:
+    Same set-up, seed, workload and metrics collector as
+    :func:`run_experiment`, so the same spec gives the same report on
+    both paths.  Only submission differs:
 
     * The workload stays numpy columns
       (:meth:`~repro.sim.workload.SyntheticWorkload.generate_columns`)
@@ -334,18 +331,11 @@ def run_scale_experiment(
       arrival instant.
     * Arrivals are bulk-scheduled (``engine.schedule_batch``) with one
       shared callback: no per-task closure, handle, or JSS job.
-    * Metrics accumulate into numpy columns
-      (:class:`~repro.sim.metrics.BulkMetricsCollector`).
 
-    Tracers, telemetry, and the energy auditor need per-task records
-    and are not supported here; use :func:`run_experiment` for those.
+    Tracers, telemetry, and the energy auditor are not wired here; use
+    :func:`run_experiment` for those.
     """
-    from repro.sim.metrics import BulkMetricsCollector
-
-    sim, workload = _set_up(
-        spec, None, metrics=BulkMetricsCollector(capacity=spec.tasks),
-        hostprof=hostprof,
-    )
+    sim, workload = _set_up(spec, None, hostprof=hostprof)
     sim.submit_workload_columns(workload.generate_columns())
     return ExperimentResult(spec=spec, report=sim.run(), energy=None)
 

@@ -9,14 +9,18 @@ given scheduling strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections import Counter
+from collections.abc import Callable, Iterator, Mapping
+from dataclasses import dataclass, field, fields
+from math import isnan
 
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskMetrics:
-    """Timeline of one task through the simulator."""
+    """Timeline of one task through the simulator: one collector row."""
 
     key: object
     function: str = ""
@@ -39,7 +43,6 @@ class TaskMetrics:
     failed: bool = False
     failure_reason: str | None = None
     faults: int = 0
-    retries: int = 0
     fell_back_to_gpp: bool = False
     first_fault: float | None = None
     #: Setup/execution seconds thrown away by faults (work that had to
@@ -50,27 +53,11 @@ class TaskMetrics:
     # --- resilience observables (all zero/None when the layer is off) ---
     #: Worst deadline this task missed: None, "soft", or "hard".
     deadline_missed: str | None = None
-    #: Progress checkpoints taken across all placements of this task.
-    checkpoints: int = 0
-    #: Execution seconds spent writing those checkpoints.
-    checkpoint_overhead_s: float = 0.0
-    #: Seconds of progress a checkpoint preserved across faults (work
-    #: the pre-resilience simulator would have counted as wasted).
-    wasted_work_saved_s: float = 0.0
-    #: Checkpoint resumes re-placed on a (possibly different) node.
-    migrations: int = 0
-    #: A speculative replica was launched for this task.
-    speculated: bool = False
-    #: ... and the replica finished first.
+    #: A speculative replica finished before the primary.
     speculative_win: bool = False
     # --- overload-protection observables (zero when admission is off) ---
     #: Terminal rejection by the admission controller / load shedder.
     shed: bool = False
-    shed_reason: str | None = None
-    #: Backpressure deferrals this submission absorbed before admission.
-    defers: int = 0
-    #: Brownout stage 2 forced this low-priority task onto GPP.
-    degraded_to_gpp: bool = False
 
     @property
     def wait_time(self) -> float | None:
@@ -383,6 +370,7 @@ def write_report_dump(path, spec, report: SimulationReport, *, energy=None) -> N
     )
 
 
+
 def _tenant_row(
     *,
     completed: int,
@@ -391,9 +379,7 @@ def _tenant_row(
     waits: np.ndarray,
     turnarounds: np.ndarray,
 ) -> dict[str, float]:
-    """One tenant's aggregate row, shared by both collectors so the
-    arithmetic (numpy mean/percentile over identical value multisets)
-    cannot drift apart."""
+    """One tenant's aggregate row of :attr:`SimulationReport.per_tenant`."""
     return {
         "completed": completed,
         "shed": shed,
@@ -417,13 +403,125 @@ def _tenant_row(
     }
 
 
-class MetricsCollector:
-    """Accumulates task and resource records during a run."""
+_NAN = float("nan")
+
+#: One growable column per :class:`TaskMetrics` field: the ``array``
+#: typecode and the value a row holds until a record sets it.  NaN, and
+#: -1 in an ``"i"`` column, mean "unset" and read back as the field's
+#: default.  ``"b"`` columns are flags; the str fields hold int32 codes
+#: into the collector's interning tables.
+_COLUMNS: dict[str, tuple[str, float]] = {
+    "function": ("i", -1),
+    "tenant": ("i", -1),
+    "pe_kind": ("i", -1),
+    "node_id": ("i", -1),
+    "resource_index": ("i", -1),
+    "slices": ("i", 0),
+    "arrival": ("d", 0.0),
+    "dispatch": ("d", _NAN),
+    "start": ("d", _NAN),
+    "finish": ("d", _NAN),
+    "transfer_time": ("d", 0.0),
+    "synthesis_time": ("d", 0.0),
+    "reconfig_time": ("d", 0.0),
+    "reused_configuration": ("b", 0),
+    "discarded": ("b", 0),
+    "failed": ("b", 0),
+    "failure_reason": ("i", -1),
+    "faults": ("i", 0),
+    "fell_back_to_gpp": ("b", 0),
+    "first_fault": ("d", _NAN),
+    "wasted_time_s": ("d", 0.0),
+    "wasted_slice_seconds": ("d", 0.0),
+    "deadline_missed": ("i", -1),
+    "speculative_win": ("b", 0),
+    "shed": ("b", 0),
+}
+_STRING_FIELDS = ("function", "tenant", "pe_kind", "failure_reason", "deadline_missed")
+_DEFAULTS = {f.name: f.default for f in fields(TaskMetrics)}
+
+
+class _Strings:
+    """Interning table of one str column: codes in order of first use."""
+
+    __slots__ = ("codes", "names")
 
     def __init__(self) -> None:
-        self.tasks: dict[object, TaskMetrics] = {}
+        self.codes: dict[str, int] = {}
+        self.names: list[str] = []
+
+    def code(self, name: str) -> int:
+        code = self.codes.get(name)
+        if code is None:
+            code = self.codes[name] = len(self.names)
+            self.names.append(name)
+        return code
+
+
+class _Columns(dict):
+    """Column name -> growable ``array``.  A column is created on its
+    first use, one unset value per existing row, so a field that no
+    record sets (the fault fields of a fault-free run, the tenant of a
+    single-tenant one) costs no memory."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rows = 0
+        self._blank_row: list[tuple[Callable[[float], None], float]] = []
+
+    def __missing__(self, name: str) -> array:
+        typecode, fill = _COLUMNS[name]
+        column = self[name] = array(typecode, [fill]) * self.rows
+        self._blank_row.append((column.append, fill))
+        return column
+
+    def append_row(self) -> int:
+        """Append one row of unset values; returns its index."""
+        for append, fill in self._blank_row:
+            append(fill)
+        self.rows += 1
+        return self.rows - 1
+
+
+class _TaskTable(Mapping):
+    """Read-only view of a collector's rows: key -> :class:`TaskMetrics`,
+    in arrival order.  Each lookup builds the row from the columns."""
+
+    __slots__ = ("_collector",)
+
+    def __init__(self, collector: "MetricsCollector") -> None:
+        self._collector = collector
+
+    def __getitem__(self, key: object) -> TaskMetrics:
+        return self._collector._row(key, self._collector._index[key])
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._collector._index
+
+    def __iter__(self) -> Iterator[object]:
+        return iter(self._collector._index)
+
+    def __len__(self) -> int:
+        return len(self._collector._index)
+
+
+class MetricsCollector:
+    """Accumulates task and resource records during a run.
+
+    Each task is one row of growable ``array`` columns: about 80 bytes
+    in a fault-free run, 120 with every column in use, so a
+    million-task run stays small.  :attr:`tasks` reads the rows back as
+    :class:`TaskMetrics`, and :meth:`report` aggregates the columns with
+    numpy.
+    """
+
+    def __init__(self) -> None:
+        #: key -> row, in arrival order.
+        self._index: dict[object, int] = {}
+        self._columns = _Columns()
+        self._strings = {name: _Strings() for name in _STRING_FIELDS}
+        self.tasks: Mapping[object, TaskMetrics] = _TaskTable(self)
         self.resources: dict[str, ResourceUsage] = {}
-        self.trace: list[tuple[float, str, object]] = []
         #: Node ids ever part of the grid (denominator of availability).
         self.known_nodes: set[int] = set()
         #: node_id -> time it went down (open downtime window).
@@ -477,17 +575,49 @@ class MetricsCollector:
         self.slo_results: list = []
 
     # ------------------------------------------------------------------
+    # Row access
+    # ------------------------------------------------------------------
+    def _row(self, key: object, i: int) -> TaskMetrics:
+        row = {}  # fields without a column keep their defaults
+        for name, column in self._columns.items():
+            value = column[i]
+            if value != value or (value == -1 and column.typecode == "i"):
+                row[name] = _DEFAULTS[name]
+            elif name in self._strings:
+                row[name] = self._strings[name].names[value]
+            elif column.typecode == "b":
+                row[name] = bool(value)
+            else:
+                row[name] = value
+        return TaskMetrics(key=key, **row)
+
+    def time_of(
+        self, key: object, event: str, default: float | None = None
+    ) -> float | None:
+        """``tasks[key].<event>`` for a timestamp field (``arrival``,
+        ``dispatch``, ``start``, ``finish``, ``first_fault``) without
+        building the row; *default* until the event happens."""
+        i = self._index[key]
+        column = self._columns.get(event)
+        time = _NAN if column is None else column[i]
+        return default if isnan(time) else time
+
+    # ------------------------------------------------------------------
     # Recording (called by the simulator)
     # ------------------------------------------------------------------
     def record_arrival(
         self, key: object, time: float, function: str = "", tenant: str = ""
-    ) -> TaskMetrics:
-        if key in self.tasks:
+    ) -> None:
+        if key in self._index:
             raise ValueError(f"duplicate task key {key!r}")
-        tm = TaskMetrics(key=key, arrival=time, function=function, tenant=tenant)
-        self.tasks[key] = tm
-        self.trace.append((time, "arrival", key))
-        return tm
+        columns = self._columns
+        i = columns.append_row()
+        columns["arrival"][i] = time
+        columns["function"][i] = self._strings["function"].code(function)
+        if tenant:
+            columns["tenant"][i] = self._strings["tenant"].code(tenant)
+        # Indexed only once the row is written.
+        self._index[key] = i
 
     def record_dispatch(
         self,
@@ -503,34 +633,32 @@ class MetricsCollector:
         resource_index: int | None = None,
         slices: int = 0,
     ) -> None:
-        tm = self.tasks[key]
-        tm.dispatch = time
-        tm.pe_kind = pe_kind
-        tm.node_id = node_id
-        tm.resource_index = resource_index
-        tm.slices = slices
-        tm.transfer_time = transfer_time
-        tm.synthesis_time = synthesis_time
-        tm.reconfig_time = reconfig_time
-        tm.reused_configuration = reused
-        self.trace.append((time, "dispatch", key))
+        i = self._index[key]
+        columns = self._columns
+        columns["dispatch"][i] = time
+        columns["pe_kind"][i] = self._strings["pe_kind"].code(pe_kind)
+        columns["node_id"][i] = node_id
+        columns["resource_index"][i] = -1 if resource_index is None else resource_index
+        columns["slices"][i] = slices
+        columns["transfer_time"][i] = transfer_time
+        columns["synthesis_time"][i] = synthesis_time
+        columns["reconfig_time"][i] = reconfig_time
+        columns["reused_configuration"][i] = reused
 
     def record_start(self, key: object, time: float) -> None:
-        self.tasks[key].start = time
-        self.trace.append((time, "start", key))
+        self._columns["start"][self._index[key]] = time
 
     def record_finish(self, key: object, time: float, resource_label: str) -> None:
-        tm = self.tasks[key]
-        tm.finish = time
+        i = self._index[key]
+        self._columns["finish"][i] = time
         usage = self.resources.setdefault(resource_label, ResourceUsage(resource_label))
-        if tm.start is not None:
-            usage.busy_s += time - tm.start
+        start = self._columns["start"][i]
+        if not isnan(start):
+            usage.busy_s += time - start
         usage.tasks_executed += 1
-        self.trace.append((time, "finish", key))
 
     def record_discard(self, key: object, time: float) -> None:
-        self.tasks[key].discarded = True
-        self.trace.append((time, "discard", key))
+        self._columns["discarded"][self._index[key]] = True
 
     # ------------------------------------------------------------------
     # Fault-injection recording
@@ -544,80 +672,67 @@ class MetricsCollector:
         wasted_time_s: float = 0.0,
         wasted_slice_seconds: float = 0.0,
     ) -> None:
-        tm = self.tasks[key]
-        tm.faults += 1
-        if tm.first_fault is None:
-            tm.first_fault = time
-        tm.failure_reason = reason
-        tm.wasted_time_s += wasted_time_s
-        tm.wasted_slice_seconds += wasted_slice_seconds
+        i = self._index[key]
+        columns = self._columns
+        columns["faults"][i] += 1
+        if isnan(columns["first_fault"][i]):
+            columns["first_fault"][i] = time
+        columns["failure_reason"][i] = self._strings["failure_reason"].code(reason)
+        columns["wasted_time_s"][i] += wasted_time_s
+        columns["wasted_slice_seconds"][i] += wasted_slice_seconds
         self.fault_events += 1
-        self.trace.append((time, "fault", key))
 
     def record_retry(self, key: object, time: float) -> None:
-        self.tasks[key].retries += 1
         self.retry_events += 1
-        self.trace.append((time, "retry", key))
 
     def record_fallback(self, key: object, time: float) -> None:
-        tm = self.tasks[key]
-        tm.retries += 1
-        tm.fell_back_to_gpp = True
+        self._columns["fell_back_to_gpp"][self._index[key]] = True
         self.fallback_events += 1
-        self.trace.append((time, "fallback", key))
 
     def record_failed(self, key: object, time: float, *, reason: str) -> None:
-        tm = self.tasks[key]
-        tm.failed = True
-        tm.failure_reason = reason
-        self.trace.append((time, "task-failed", key))
+        i = self._index[key]
+        self._columns["failed"][i] = True
+        self._columns["failure_reason"][i] = self._strings["failure_reason"].code(reason)
 
     # ------------------------------------------------------------------
     # Adaptive-resilience recording
     # ------------------------------------------------------------------
     def record_deadline_miss(self, key: object, time: float, *, hard: bool) -> None:
-        tm = self.tasks[key]
+        """A hard miss overrides a soft one; a soft one never overrides
+        a hard one."""
+        i = self._index[key]
+        missed = self._columns["deadline_missed"]
         if hard:
-            tm.deadline_missed = "hard"
+            missed[i] = self._strings["deadline_missed"].code("hard")
             self.deadline_hard_misses += 1
         else:
-            if tm.deadline_missed is None:
-                tm.deadline_missed = "soft"
+            if missed[i] == -1:
+                missed[i] = self._strings["deadline_missed"].code("soft")
             self.deadline_soft_misses += 1
-        self.trace.append((time, "timeout", key))
 
     def record_wasted(
         self, key: object, time: float, *, wasted_time_s: float,
         wasted_slice_seconds: float,
     ) -> None:
         """Waste from a non-fault teardown (a watchdog cancellation)."""
-        tm = self.tasks[key]
-        tm.wasted_time_s += wasted_time_s
-        tm.wasted_slice_seconds += wasted_slice_seconds
+        i = self._index[key]
+        self._columns["wasted_time_s"][i] += wasted_time_s
+        self._columns["wasted_slice_seconds"][i] += wasted_slice_seconds
 
     def record_checkpoint(self, key: object, time: float, *, overhead_s: float) -> None:
-        tm = self.tasks[key]
-        tm.checkpoints += 1
-        tm.checkpoint_overhead_s += overhead_s
         self.checkpoint_events += 1
         self.checkpoint_overhead_s += overhead_s
-        self.trace.append((time, "checkpoint", key))
 
     def record_checkpoint_restore(self, key: object, saved_s: float) -> None:
         """A fault/timeout destroyed a placement but *saved_s* seconds
         of its progress survived in the last checkpoint."""
-        self.tasks[key].wasted_work_saved_s += saved_s
         self.wasted_work_saved_s += saved_s
 
     def record_migration(self, key: object, time: float) -> None:
-        self.tasks[key].migrations += 1
         self.migration_events += 1
-        self.trace.append((time, "migrate", key))
 
     def record_speculation(self, key: object, time: float) -> None:
-        self.tasks[key].speculated = True
         self.speculative_launches += 1
-        self.trace.append((time, "speculate", key))
 
     def record_speculation_result(
         self,
@@ -634,11 +749,14 @@ class MetricsCollector:
         win the task's placement attribution moves to the replica's
         node/resource (where it actually completed)."""
         if win:
-            tm = self.tasks[key]
-            tm.speculative_win = True
+            i = self._index[key]
+            columns = self._columns
+            columns["speculative_win"][i] = True
             if node_id is not None:
-                tm.node_id = node_id
-                tm.resource_index = resource_index
+                columns["node_id"][i] = node_id
+                columns["resource_index"][i] = (
+                    -1 if resource_index is None else resource_index
+                )
             self.speculative_wins += 1
         self.speculative_wasted_s += max(0.0, wasted_s)
 
@@ -660,7 +778,6 @@ class MetricsCollector:
             wasted_slice_seconds=wasted_slice_seconds,
         )
         self.orphan_events += 1
-        self.trace.append((time, "orphan-recovered", key))
 
     def record_failover_stats(
         self,
@@ -700,22 +817,14 @@ class MetricsCollector:
         """Terminal rejection by admission control or load shedding.
         Deliberately does *not* mark the task discarded: ``discarded``
         keeps counting only age-based queue discards."""
-        tm = self.tasks[key]
-        tm.shed = True
-        tm.shed_reason = reason
+        self._columns["shed"][self._index[key]] = True
         self.shed_events += 1
-        self.trace.append((time, "shed", key))
 
     def record_defer(self, key: object, time: float) -> None:
-        self.tasks[key].defers += 1
         self.defer_events += 1
-        self.trace.append((time, "defer", key))
 
     def record_degrade(self, key: object, time: float) -> None:
-        tm = self.tasks[key]
-        tm.degraded_to_gpp = True
         self.brownout_degraded += 1
-        self.trace.append((time, "degrade", key))
 
     def record_admission_stats(
         self,
@@ -743,23 +852,6 @@ class MetricsCollector:
         :class:`repro.sim.slo.SLOResult` instances."""
         self.slo_results = list(results)
 
-    def _slo_report_kwargs(self) -> dict:
-        """Report fields derived from the pushed SLO results (shared by
-        both collectors so the derivations cannot drift apart)."""
-        results = self.slo_results
-        return {
-            "slo_objectives": len(results),
-            "slo_breaches": sum(r.breach_count for r in results),
-            "slo_alerts_fired": sum(r.alerts_fired for r in results),
-            "slo_alerts_resolved": sum(r.alerts_resolved for r in results),
-            "slo_attainment": {r.name: r.attainment for r in results},
-            "slo_error_budget_remaining": {
-                r.name: r.error_budget_remaining for r in results
-            },
-            "slo_breach_seconds": {r.name: r.breach_seconds for r in results},
-            "slo_violated": [r.name for r in results if r.violated],
-        }
-
     # ------------------------------------------------------------------
     # Node availability windows
     # ------------------------------------------------------------------
@@ -775,30 +867,50 @@ class MetricsCollector:
         if since is not None:
             self._downtime[node_id] = self._downtime.get(node_id, 0.0) + (time - since)
 
+
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def report(self, horizon_s: float) -> SimulationReport:
-        finished = [t for t in self.tasks.values() if t.finish is not None]
-        discarded = [t for t in self.tasks.values() if t.discarded]
-        failed = [t for t in self.tasks.values() if t.failed]
-        shed = [t for t in self.tasks.values() if t.shed]
-        pending = [
-            t
-            for t in self.tasks.values()
-            if t.finish is None and not t.discarded and not t.failed and not t.shed
-        ]
-        waits = np.array([t.wait_time for t in finished if t.wait_time is not None])
-        turnarounds = np.array([t.turnaround for t in finished])
-        reconfigs = [t for t in finished if t.reconfig_time > 0]
-        reuse_hits = sum(1 for t in finished if t.reused_configuration)
-        hw_tasks = sum(1 for t in finished if t.pe_kind == "RPE")
+        # Zero-copy numpy views of the columns (a column never created
+        # reads as its unset value in every row); every aggregate is
+        # taken in row (arrival) order.  Counting goes through
+        # count_nonzero, Counter and array.count rather than further
+        # numpy kernels: each kernel's first use adds to a small run's
+        # resident memory.
+        n = len(self._index)
+        col = {}
+        for name, (typecode, fill) in _COLUMNS.items():
+            dtype = bool if typecode == "b" else typecode
+            column = self._columns.get(name)
+            col[name] = (
+                np.frombuffer(column, dtype=dtype)
+                if column is not None
+                else np.broadcast_to(np.array(fill, dtype=dtype), n)
+            )
+        arrival, dispatch, finish = col["arrival"], col["dispatch"], col["finish"]
+        discarded, failed, shed = col["discarded"], col["failed"], col["shed"]
+        finished = ~np.isnan(finish)
+        pending = ~finished & ~discarded & ~failed & ~shed
+        dispatched = ~np.isnan(dispatch)
+        all_waits = dispatch - arrival
+        all_turnarounds = finish - arrival
+        waits = all_waits[finished & dispatched]
+        turnarounds = all_turnarounds[finished]
+        reconfig_times = col["reconfig_time"][finished]
+        reconfig_times = reconfig_times[reconfig_times.nonzero()]
+        reuse_hits = int(np.count_nonzero(finished & col["reused_configuration"]))
         utilizations = {
             label: usage.utilization(horizon_s) for label, usage in self.resources.items()
         }
-        by_kind: dict[str, int] = {}
-        for t in finished:
-            by_kind[t.pe_kind] = by_kind.get(t.pe_kind, 0) + 1
+        # By-kind counts in order of first finished appearance.
+        kind_counts = Counter(col["pe_kind"][finished].tolist())
+        kinds = self._strings["pe_kind"]
+        by_kind = {
+            kinds.names[code] if code >= 0 else "": count
+            for code, count in kind_counts.items()
+        }
+        hw_tasks = kind_counts.get(kinds.codes.get("RPE"), 0)
         # Recovery aggregates.  Downtime windows still open at the
         # horizon (a node that never rejoined) are closed against it.
         downtime = dict(self._downtime)
@@ -812,473 +924,34 @@ class MetricsCollector:
             if node_seconds > 0
             else 1.0
         )
-        repairs = np.array(
-            [
-                t.finish - t.first_fault
-                for t in finished
-                if t.first_fault is not None
-            ]
-        )
-        # Per-tenant aggregates, tenants in order of first arrival
-        # (the bulk collector reproduces the same order through its
-        # interning table, so the two reports stay byte-equal).
-        per_tenant: dict[str, dict[str, float]] = {}
-        tenant_names: list[str] = []
-        for t in self.tasks.values():
-            if t.tenant and t.tenant not in per_tenant:
-                per_tenant[t.tenant] = {}
-                tenant_names.append(t.tenant)
-        for name in tenant_names:
-            rows = [t for t in self.tasks.values() if t.tenant == name]
-            fin = [t for t in rows if t.finish is not None]
-            t_waits = np.array(
-                [t.wait_time for t in fin if t.wait_time is not None]
-            )
-            t_turn = np.array([t.turnaround for t in fin])
-            per_tenant[name] = _tenant_row(
-                completed=len(fin),
-                shed=sum(1 for t in rows if t.shed),
-                failed=sum(1 for t in rows if t.failed),
-                waits=t_waits,
-                turnarounds=t_turn,
-            )
-        return SimulationReport(
-            horizon_s=horizon_s,
-            completed=len(finished),
-            discarded=len(discarded),
-            pending=len(pending),
-            mean_wait_s=float(waits.mean()) if waits.size else 0.0,
-            p95_wait_s=float(np.percentile(waits, 95)) if waits.size else 0.0,
-            p50_wait_s=float(np.percentile(waits, 50)) if waits.size else 0.0,
-            p99_wait_s=float(np.percentile(waits, 99)) if waits.size else 0.0,
-            mean_turnaround_s=float(turnarounds.mean()) if turnarounds.size else 0.0,
-            p50_turnaround_s=(
-                float(np.percentile(turnarounds, 50)) if turnarounds.size else 0.0
-            ),
-            p95_turnaround_s=(
-                float(np.percentile(turnarounds, 95)) if turnarounds.size else 0.0
-            ),
-            p99_turnaround_s=(
-                float(np.percentile(turnarounds, 99)) if turnarounds.size else 0.0
-            ),
-            makespan_s=max((t.finish for t in finished), default=0.0),
-            reconfigurations=len(reconfigs),
-            total_reconfig_time_s=sum(t.reconfig_time for t in reconfigs),
-            reuse_hits=reuse_hits,
-            reuse_rate=reuse_hits / hw_tasks if hw_tasks else 0.0,
-            mean_utilization=(
-                float(np.mean(list(utilizations.values()))) if utilizations else 0.0
-            ),
-            per_resource_utilization=utilizations,
-            tasks_by_pe_kind=by_kind,
-            failed=len(failed),
-            fault_events=self.fault_events,
-            retries=self.retry_events,
-            gpp_fallbacks=self.fallback_events,
-            availability=availability,
-            mttr_s=float(repairs.mean()) if repairs.size else 0.0,
-            wasted_work_s=sum(t.wasted_time_s for t in self.tasks.values()),
-            wasted_slice_seconds=sum(
-                t.wasted_slice_seconds for t in self.tasks.values()
-            ),
-            goodput_tasks_per_s=len(finished) / horizon_s if horizon_s > 0 else 0.0,
-            deadline_soft_misses=self.deadline_soft_misses,
-            deadline_hard_misses=self.deadline_hard_misses,
-            deadline_miss_rate=(
-                sum(1 for t in self.tasks.values() if t.deadline_missed is not None)
-                / len(self.tasks)
-                if self.tasks
-                else 0.0
-            ),
-            quarantines=self.quarantines,
-            quarantine_time_s=self.quarantine_time_s,
-            checkpoints=self.checkpoint_events,
-            checkpoint_overhead_s=self.checkpoint_overhead_s,
-            wasted_work_saved_s=self.wasted_work_saved_s,
-            migrations=self.migration_events,
-            speculative_launches=self.speculative_launches,
-            speculative_wins=self.speculative_wins,
-            speculative_win_rate=(
-                self.speculative_wins / self.speculative_launches
-                if self.speculative_launches
-                else 0.0
-            ),
-            speculative_wasted_s=self.speculative_wasted_s,
-            shed=len(shed),
-            admission_deferrals=self.defer_events,
-            placements_gated=self.placements_gated,
-            brownout_degraded=self.brownout_degraded,
-            brownout_transitions=self.brownout_transitions,
-            brownout_max_stage=self.brownout_max_stage,
-            brownout_time_s=self.brownout_time_s,
-            overload_goodput_tasks_per_s=(
-                self.brownout_completions / self.brownout_time_s
-                if self.brownout_time_s > 0
-                else 0.0
-            ),
-            rms_crashes=self.rms_crashes,
-            rms_gray_events=self.rms_gray_events,
-            failovers=self.failovers,
-            control_plane_downtime_s=self.control_plane_downtime_s,
-            detections=self.detections,
-            detection_latency_p50_s=self.detection_latency_p50_s,
-            detection_latency_p95_s=self.detection_latency_p95_s,
-            false_suspicions=self.false_suspicions,
-            leases_expired=self.leases_expired,
-            orphaned_tasks=self.orphan_events,
-            orphans_recovered=self.orphan_events,
-            per_tenant=per_tenant,
-            **self._slo_report_kwargs(),
-        )
-
-
-class _TaskRow:
-    """Flyweight read view of one task's columns (bulk collector).
-
-    Exposes the two fields the simulator reads back mid-run
-    (``arrival`` and ``dispatch``) with the same None-for-missing
-    convention as :class:`TaskMetrics`.
-    """
-
-    __slots__ = ("_c", "_i")
-
-    def __init__(self, collector: "BulkMetricsCollector", index: int):
-        self._c = collector
-        self._i = index
-
-    @property
-    def arrival(self) -> float:
-        return float(self._c._arrival[self._i])
-
-    @property
-    def dispatch(self) -> float | None:
-        v = self._c._dispatch[self._i]
-        return None if np.isnan(v) else float(v)
-
-
-class _TaskRowMap:
-    """Mapping facade over the bulk collector's columns."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, collector: "BulkMetricsCollector"):
-        self._c = collector
-
-    def __getitem__(self, key: object) -> _TaskRow:
-        return _TaskRow(self._c, self._c._index[key])
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._c._index
-
-    def __len__(self) -> int:
-        return self._c._n
-
-
-class BulkMetricsCollector(MetricsCollector):
-    """Array-backed :class:`MetricsCollector` for million-task runs.
-
-    The standard collector allocates one :class:`TaskMetrics` dataclass
-    per task and appends one trace tuple per record call -- hundreds of
-    bytes and several dict operations per event, which dominates memory
-    at 1e6 tasks.  This collector stores the per-task timeline in
-    preallocated numpy columns (8-80 bytes per task) and skips the
-    per-event trace (``self.trace`` stays available for the rare
-    node-level events the simulator appends directly).
-
-    ``report()`` replicates the base-class arithmetic *exactly* -- same
-    value multisets, same accumulation order (insertion order == column
-    order), numpy mean/percentile for latencies and Python left-fold
-    ``sum`` for the waste/reconfig totals -- so for identical record
-    streams the two collectors produce identical reports (locked by a
-    differential test).
-
-    Limitations, by design: per-task drill-down fields that no report
-    aggregate reads (node ids, transfer/synthesis splits, failure
-    reasons, per-task retry counts) are not stored, so the energy
-    auditor and trace tooling need the standard collector.
-    """
-
-    _INITIAL_CAPACITY = 1024
-
-    def __init__(self, capacity: int | None = None) -> None:
-        super().__init__()
-        cap = max(1, int(capacity) if capacity is not None else self._INITIAL_CAPACITY)
-        self._n = 0
-        self._index: dict[object, int] = {}
-        self._arrival = np.empty(cap)
-        self._dispatch = np.full(cap, np.nan)
-        self._start = np.full(cap, np.nan)
-        self._finish = np.full(cap, np.nan)
-        self._reconfig = np.zeros(cap)
-        self._wasted_t = np.zeros(cap)
-        self._wasted_sl = np.zeros(cap)
-        self._first_fault = np.full(cap, np.nan)
-        self._reused = np.zeros(cap, dtype=bool)
-        self._discarded = np.zeros(cap, dtype=bool)
-        self._failed = np.zeros(cap, dtype=bool)
-        self._shed = np.zeros(cap, dtype=bool)
-        #: pe_kind interned to a small int; -1 = never dispatched.
-        self._kind_code = np.full(cap, -1, dtype=np.int16)
-        #: tenant interned to a small int; -1 = untagged (single-tenant).
-        self._tenant_code = np.full(cap, -1, dtype=np.int16)
-        #: 0 = met, 1 = soft miss, 2 = hard miss.
-        self._deadline_code = np.zeros(cap, dtype=np.int8)
-        self._kind_codes: dict[str, int] = {}
-        self._kind_names: list[str] = []
-        self._tenant_codes: dict[str, int] = {}
-        self._tenant_names: list[str] = []
-        self.tasks = _TaskRowMap(self)  # type: ignore[assignment]
-
-    def _grow(self) -> None:
-        cap = len(self._arrival) * 2
-        for name in (
-            "_arrival", "_dispatch", "_start", "_finish", "_reconfig",
-            "_wasted_t", "_wasted_sl", "_first_fault", "_reused",
-            "_discarded", "_failed", "_shed", "_kind_code", "_tenant_code",
-            "_deadline_code",
-        ):
-            old = getattr(self, name)
-            if old.dtype == np.float64 and name in ("_dispatch", "_start", "_finish", "_first_fault"):
-                new = np.full(cap, np.nan)
-            elif old.dtype == np.int16:
-                new = np.full(cap, -1, dtype=np.int16)
-            else:
-                new = np.zeros(cap, dtype=old.dtype)
-            new[: self._n] = old[: self._n]
-            setattr(self, name, new)
-
-    def _kind(self, pe_kind: str) -> int:
-        code = self._kind_codes.get(pe_kind)
-        if code is None:
-            code = len(self._kind_names)
-            self._kind_codes[pe_kind] = code
-            self._kind_names.append(pe_kind)
-        return code
-
-    def _tenant(self, tenant: str) -> int:
-        code = self._tenant_codes.get(tenant)
-        if code is None:
-            code = len(self._tenant_names)
-            self._tenant_codes[tenant] = code
-            self._tenant_names.append(tenant)
-        return code
-
-    # -- recording ------------------------------------------------------
-    def record_arrival(self, key: object, time: float, function: str = "", tenant: str = "") -> None:  # type: ignore[override]
-        if key in self._index:
-            raise ValueError(f"duplicate task key {key!r}")
-        i = self._n
-        if i == len(self._arrival):
-            self._grow()
-        self._index[key] = i
-        self._arrival[i] = time
-        if tenant:
-            self._tenant_code[i] = self._tenant(tenant)
-        self._n = i + 1
-
-    def record_dispatch(
-        self,
-        key: object,
-        time: float,
-        *,
-        pe_kind: str,
-        node_id: int,
-        transfer_time: float,
-        synthesis_time: float,
-        reconfig_time: float,
-        reused: bool,
-        resource_index: int | None = None,
-        slices: int = 0,
-    ) -> None:
-        i = self._index[key]
-        self._dispatch[i] = time
-        self._kind_code[i] = self._kind(pe_kind)
-        self._reconfig[i] = reconfig_time
-        self._reused[i] = reused
-
-    def record_start(self, key: object, time: float) -> None:
-        self._start[self._index[key]] = time
-
-    def record_finish(self, key: object, time: float, resource_label: str) -> None:
-        i = self._index[key]
-        self._finish[i] = time
-        usage = self.resources.setdefault(resource_label, ResourceUsage(resource_label))
-        start = float(self._start[i])
-        if not np.isnan(start):
-            usage.busy_s += time - start
-        usage.tasks_executed += 1
-
-    def record_discard(self, key: object, time: float) -> None:
-        self._discarded[self._index[key]] = True
-
-    def record_fault(
-        self,
-        key: object,
-        time: float,
-        *,
-        reason: str,
-        wasted_time_s: float = 0.0,
-        wasted_slice_seconds: float = 0.0,
-    ) -> None:
-        i = self._index[key]
-        if np.isnan(self._first_fault[i]):
-            self._first_fault[i] = time
-        self._wasted_t[i] += wasted_time_s
-        self._wasted_sl[i] += wasted_slice_seconds
-        self.fault_events += 1
-
-    def record_retry(self, key: object, time: float) -> None:
-        self.retry_events += 1
-
-    def record_fallback(self, key: object, time: float) -> None:
-        self.fallback_events += 1
-
-    def record_failed(self, key: object, time: float, *, reason: str) -> None:
-        self._failed[self._index[key]] = True
-
-    def record_deadline_miss(self, key: object, time: float, *, hard: bool) -> None:
-        i = self._index[key]
-        if hard:
-            self._deadline_code[i] = 2
-            self.deadline_hard_misses += 1
-        else:
-            if self._deadline_code[i] == 0:
-                self._deadline_code[i] = 1
-            self.deadline_soft_misses += 1
-
-    def record_wasted(
-        self, key: object, time: float, *, wasted_time_s: float,
-        wasted_slice_seconds: float,
-    ) -> None:
-        i = self._index[key]
-        self._wasted_t[i] += wasted_time_s
-        self._wasted_sl[i] += wasted_slice_seconds
-
-    def record_checkpoint(self, key: object, time: float, *, overhead_s: float) -> None:
-        self.checkpoint_events += 1
-        self.checkpoint_overhead_s += overhead_s
-
-    def record_checkpoint_restore(self, key: object, saved_s: float) -> None:
-        self.wasted_work_saved_s += saved_s
-
-    def record_migration(self, key: object, time: float) -> None:
-        self.migration_events += 1
-
-    def record_speculation(self, key: object, time: float) -> None:
-        self.speculative_launches += 1
-
-    def record_speculation_result(
-        self,
-        key: object,
-        time: float,
-        *,
-        win: bool,
-        wasted_s: float,
-        node_id: int | None = None,
-        resource_index: int | None = None,
-    ) -> None:
-        if win:
-            self.speculative_wins += 1
-        self.speculative_wasted_s += max(0.0, wasted_s)
-
-    def record_shed(self, key: object, time: float, *, reason: str) -> None:
-        self._shed[self._index[key]] = True
-        self.shed_events += 1
-
-    def record_defer(self, key: object, time: float) -> None:
-        self.defer_events += 1
-
-    def record_degrade(self, key: object, time: float) -> None:
-        self.brownout_degraded += 1
-
-    def record_orphan(
-        self,
-        key: object,
-        time: float,
-        *,
-        wasted_time_s: float = 0.0,
-        wasted_slice_seconds: float = 0.0,
-    ) -> None:
-        # Same accumulation as the base class, minus the per-event
-        # trace tuple (bulk collectors skip the per-task trace).
-        self.record_wasted(
-            key,
-            time,
-            wasted_time_s=wasted_time_s,
-            wasted_slice_seconds=wasted_slice_seconds,
-        )
-        self.orphan_events += 1
-
-    # -- reporting ------------------------------------------------------
-    def report(self, horizon_s: float) -> SimulationReport:
-        n = self._n
-        arrival = self._arrival[:n]
-        dispatch = self._dispatch[:n]
-        finish = self._finish[:n]
-        discarded = self._discarded[:n]
-        failed = self._failed[:n]
-        shed = self._shed[:n]
-        finished = ~np.isnan(finish)
-        pending = np.isnan(finish) & ~discarded & ~failed & ~shed
-        # Same multisets in the same (insertion) order as the base
-        # collector's list comprehensions.
-        waits = (dispatch - arrival)[finished & ~np.isnan(dispatch)]
-        turnarounds = (finish - arrival)[finished]
-        reconfig_mask = finished & (self._reconfig[:n] > 0)
-        reuse_hits = int((finished & self._reused[:n]).sum())
-        rpe_code = self._kind_codes.get("RPE")
-        kinds = self._kind_code[:n]
-        hw_tasks = int((finished & (kinds == rpe_code)).sum()) if rpe_code is not None else 0
-        utilizations = {
-            label: usage.utilization(horizon_s) for label, usage in self.resources.items()
-        }
-        # by-kind counts in order of first finished appearance, exactly
-        # like the base collector's insertion-ordered dict.
-        by_kind: dict[str, int] = {}
-        finished_kinds = kinds[finished]
-        if finished_kinds.size:
-            codes, firsts, counts = np.unique(
-                finished_kinds, return_index=True, return_counts=True
-            )
-            for pos in np.argsort(firsts):
-                code = int(codes[pos])
-                name = self._kind_names[code] if code >= 0 else ""
-                by_kind[name] = int(counts[pos])
-        downtime = dict(self._downtime)
-        for node_id, since in self._down_since.items():
-            downtime[node_id] = downtime.get(node_id, 0.0) + max(
-                0.0, horizon_s - since
-            )
-        node_seconds = len(self.known_nodes) * horizon_s
-        availability = (
-            max(0.0, 1.0 - sum(downtime.values()) / node_seconds)
-            if node_seconds > 0
-            else 1.0
-        )
-        first_fault = self._first_fault[:n]
+        first_fault = col["first_fault"]
         repairs = (finish - first_fault)[finished & ~np.isnan(first_fault)]
-        completed = int(finished.sum())
-        # Per-tenant aggregates.  Interning assigns codes in order of
-        # first arrival, so iterating codes reproduces the base
-        # collector's first-appearance tenant order; masks select the
-        # same value multisets in the same (column == insertion) order.
+        completed = int(np.count_nonzero(finished))
+        # Per-tenant aggregates, tenants in order of first arrival (the
+        # order of their codes).  A stable sort groups each tenant's
+        # rows and keeps them in arrival order.
         per_tenant: dict[str, dict[str, float]] = {}
-        tenant_codes = self._tenant_code[:n]
-        for code, name in enumerate(self._tenant_names):
-            mask = tenant_codes == code
-            fin_mask = mask & finished
-            per_tenant[name] = _tenant_row(
-                completed=int(fin_mask.sum()),
-                shed=int((mask & shed).sum()),
-                failed=int((mask & failed).sum()),
-                waits=(dispatch - arrival)[fin_mask & ~np.isnan(dispatch)],
-                turnarounds=(finish - arrival)[fin_mask],
-            )
+        tenant_names = self._strings["tenant"].names
+        if tenant_names:
+            tenants = col["tenant"]
+            order = np.argsort(tenants, kind="stable")
+            edges = np.searchsorted(tenants[order], np.arange(len(tenant_names) + 1))
+            for code, name in enumerate(tenant_names):
+                rows = order[edges[code]:edges[code + 1]]
+                done = rows[finished[rows]]
+                per_tenant[name] = _tenant_row(
+                    completed=len(done),
+                    shed=int(np.count_nonzero(shed[rows])),
+                    failed=int(np.count_nonzero(failed[rows])),
+                    waits=all_waits[done[dispatched[done]]],
+                    turnarounds=all_turnarounds[done],
+                )
+        slo = self.slo_results
         return SimulationReport(
             horizon_s=horizon_s,
             completed=completed,
-            discarded=int(discarded.sum()),
-            pending=int(pending.sum()),
+            discarded=int(np.count_nonzero(discarded)),
+            pending=int(np.count_nonzero(pending)),
             mean_wait_s=float(waits.mean()) if waits.size else 0.0,
             p95_wait_s=float(np.percentile(waits, 95)) if waits.size else 0.0,
             p50_wait_s=float(np.percentile(waits, 50)) if waits.size else 0.0,
@@ -1294,10 +967,10 @@ class BulkMetricsCollector(MetricsCollector):
                 float(np.percentile(turnarounds, 99)) if turnarounds.size else 0.0
             ),
             makespan_s=float(finish[finished].max()) if completed else 0.0,
-            reconfigurations=int(reconfig_mask.sum()),
-            # Python left-fold sum, like the base collector (numpy's
-            # pairwise summation rounds differently).
-            total_reconfig_time_s=sum(self._reconfig[:n][reconfig_mask].tolist()),
+            reconfigurations=len(reconfig_times),
+            # Python left-fold sums: numpy's pairwise summation rounds
+            # differently.
+            total_reconfig_time_s=sum(reconfig_times.tolist()),
             reuse_hits=reuse_hits,
             reuse_rate=reuse_hits / hw_tasks if hw_tasks else 0.0,
             mean_utilization=(
@@ -1305,19 +978,21 @@ class BulkMetricsCollector(MetricsCollector):
             ),
             per_resource_utilization=utilizations,
             tasks_by_pe_kind=by_kind,
-            failed=int(failed.sum()),
+            failed=int(np.count_nonzero(failed)),
             fault_events=self.fault_events,
             retries=self.retry_events,
             gpp_fallbacks=self.fallback_events,
             availability=availability,
             mttr_s=float(repairs.mean()) if repairs.size else 0.0,
-            wasted_work_s=sum(self._wasted_t[:n].tolist()),
-            wasted_slice_seconds=sum(self._wasted_sl[:n].tolist()),
+            wasted_work_s=self._total("wasted_time_s"),
+            wasted_slice_seconds=self._total("wasted_slice_seconds"),
             goodput_tasks_per_s=completed / horizon_s if horizon_s > 0 else 0.0,
             deadline_soft_misses=self.deadline_soft_misses,
             deadline_hard_misses=self.deadline_hard_misses,
             deadline_miss_rate=(
-                int((self._deadline_code[:n] != 0).sum()) / n if n else 0.0
+                (n - self._columns["deadline_missed"].count(-1)) / n
+                if "deadline_missed" in self._columns
+                else 0.0
             ),
             quarantines=self.quarantines,
             quarantine_time_s=self.quarantine_time_s,
@@ -1333,7 +1008,7 @@ class BulkMetricsCollector(MetricsCollector):
                 else 0.0
             ),
             speculative_wasted_s=self.speculative_wasted_s,
-            shed=int(shed.sum()),
+            shed=int(np.count_nonzero(shed)),
             admission_deferrals=self.defer_events,
             placements_gated=self.placements_gated,
             brownout_degraded=self.brownout_degraded,
@@ -1357,5 +1032,20 @@ class BulkMetricsCollector(MetricsCollector):
             orphaned_tasks=self.orphan_events,
             orphans_recovered=self.orphan_events,
             per_tenant=per_tenant,
-            **self._slo_report_kwargs(),
+            slo_objectives=len(slo),
+            slo_breaches=sum(r.breach_count for r in slo),
+            slo_alerts_fired=sum(r.alerts_fired for r in slo),
+            slo_alerts_resolved=sum(r.alerts_resolved for r in slo),
+            slo_attainment={r.name: r.attainment for r in slo},
+            slo_error_budget_remaining={r.name: r.error_budget_remaining for r in slo},
+            slo_breach_seconds={r.name: r.breach_seconds for r in slo},
+            slo_violated=[r.name for r in slo if r.violated],
         )
+
+    def _total(self, name: str) -> float:
+        """Left-fold sum of a float column in row order: 0 with no rows,
+        0.0 when no record wrote the column."""
+        column = self._columns.get(name)
+        if column is None:
+            return 0.0 if self._index else 0
+        return sum(column)

@@ -157,7 +157,6 @@ class DReAMSim:
         failover: FailoverSpec | None = None,
         slo: SLOSpec | None = None,
         telemetry: TelemetryRegistry | None = None,
-        metrics: MetricsCollector | None = None,
         hostprof=None,
     ):
         if discard_after_s is not None and discard_after_s <= 0:
@@ -170,7 +169,7 @@ class DReAMSim:
         #: it leaves traces byte-identical).
         self.hostprof = hostprof
         self.jss = jss or JobSubmissionSystem(virtualization=rms.virtualization)
-        self.metrics = metrics if metrics is not None else MetricsCollector()
+        self.metrics = MetricsCollector()
         self.tracer = tracer
         self.discard_after_s = discard_after_s
         self.pending: list[_Entry] = []
@@ -601,7 +600,6 @@ class DReAMSim:
                 self.health.register_node(node.node_id)
             if self.monitor is not None:
                 self.monitor.watch(node.node_id, self.engine.now)
-            self.metrics.trace.append((self.engine.now, "node-join", node.node_id))
             self._emit(
                 "node-join",
                 node=node.node_id,
@@ -637,12 +635,10 @@ class DReAMSim:
                 del self.active[entry.key]
                 self.pending.append(entry)
                 self.requeues += 1
-                self.metrics.trace.append((self.engine.now, "requeue", entry.key))
             self.rms.unregister_node(node_id)
             if self.monitor is not None:
                 self.monitor.forget(node_id)
                 self._suspected_targets.discard(node_id)
-            self.metrics.trace.append((self.engine.now, "node-leave", node_id))
             self._emit("node-leave", node=node_id)
             self._dispatch_pending()
 
@@ -696,7 +692,6 @@ class DReAMSim:
                         rpe.fabric.clear(region)
                 rpe.hosted_softcores.clear()
             self.metrics.record_node_down(node_id, self.engine.now)
-            self.metrics.trace.append((self.engine.now, "node-leave", node_id))
             self._emit("node-leave", node=node_id, crash=True)
             if rejoin_after_s is not None:
                 def rejoin() -> None:
@@ -704,7 +699,6 @@ class DReAMSim:
                         return  # pragma: no cover - defensive
                     self.rms.register_node(node, site=site)
                     self.metrics.record_node_up(node_id, self.engine.now)
-                    self.metrics.trace.append((self.engine.now, "node-join", node_id))
                     self._emit(
                         "node-join",
                         node=node_id,
@@ -939,8 +933,7 @@ class DReAMSim:
         replica = self._replicas.get(entry.key)
         if replica is not None:
             self._abort_replica(replica, action="abort")
-        tm = self.metrics.tasks[entry.key]
-        dispatched_at = tm.dispatch if tm.dispatch is not None else self.engine.now
+        dispatched_at = self.metrics.time_of(entry.key, "dispatch", self.engine.now)
         preserved = self._checkpoint_credit(entry, placement)
         wasted = max(0.0, self.engine.now - dispatched_at - preserved)
         slice_seconds = 0.0
@@ -1044,7 +1037,6 @@ class DReAMSim:
             if self.health is not None:
                 self.health.register_node(node_id)
             self.metrics.record_node_up(node_id, self.engine.now)
-            self.metrics.trace.append((self.engine.now, "node-join", node_id))
             self._emit(
                 "node-join",
                 node=node_id,
@@ -1095,7 +1087,6 @@ class DReAMSim:
             rpe.hosted_softcores.clear()
         if self.health is not None:
             self.health.record_detected_failure(node_id, now)
-        self.metrics.trace.append((now, "node-leave", node_id))
         self._emit("node-leave", node=node_id, crash=True, detected=True)
         self.monitor.forget(node_id)
         self._dispatch_pending()
@@ -1285,8 +1276,7 @@ class DReAMSim:
             # replica is scrapped (the replica's node is fine, so its
             # fabric state stays).
             self._abort_replica(replica, action="abort")
-        tm = self.metrics.tasks[entry.key]
-        dispatched_at = tm.dispatch if tm.dispatch is not None else self.engine.now
+        dispatched_at = self.metrics.time_of(entry.key, "dispatch", self.engine.now)
         elapsed = self.engine.now - dispatched_at
         preserved = self._checkpoint_credit(entry, placement)
         wasted = max(0.0, elapsed - preserved)
@@ -1428,7 +1418,6 @@ class DReAMSim:
         entry.is_probe = False
         if transition == "open":
             health = self.health.node(node_id)
-            self.metrics.trace.append((self.engine.now, "quarantine", node_id))
             self._emit(
                 "quarantine",
                 node=node_id,
@@ -1448,7 +1437,6 @@ class DReAMSim:
         )
         entry.is_probe = False
         if transition == "close":
-            self.metrics.trace.append((self.engine.now, "quarantine-close", node_id))
             self._emit("quarantine", node=node_id, phase="close")
 
     # ------------------------------------------------------------------
@@ -1554,8 +1542,7 @@ class DReAMSim:
         replica = self._replicas.get(entry.key)
         if replica is not None:
             self._abort_replica(replica, action="abort")
-        tm = self.metrics.tasks[entry.key]
-        dispatched_at = tm.dispatch if tm.dispatch is not None else self.engine.now
+        dispatched_at = self.metrics.time_of(entry.key, "dispatch", self.engine.now)
         elapsed = self.engine.now - dispatched_at
         preserved = self._checkpoint_credit(entry, placement)
         wasted = max(0.0, elapsed - preserved)
@@ -1781,8 +1768,7 @@ class DReAMSim:
             self._abort_replica(replica, action="abort")  # pragma: no cover
             return
         primary_placement = entry.placement
-        tm = self.metrics.tasks[entry.key]
-        dispatched_at = tm.dispatch if tm.dispatch is not None else self.engine.now
+        dispatched_at = self.metrics.time_of(entry.key, "dispatch", self.engine.now)
         for handle in entry.events:
             handle.cancel()
         entry.events.clear()
@@ -1807,7 +1793,7 @@ class DReAMSim:
             node=replica.placement.candidate.node_id,
             loser=primary_placement.candidate.node_id,
         )
-        if tm.start is None:
+        if self.metrics.time_of(entry.key, "start") is None:
             # The primary never reached execution (long setup): the
             # task-level lifecycle still needs its start transition.
             self.metrics.record_start(entry.key, self.engine.now)
@@ -2252,7 +2238,7 @@ class DReAMSim:
         if self.telemetry is not None:
             self.telemetry.histogram(
                 "task_wait_seconds", "arrival -> dispatch latency"
-            ).observe(self.engine.now - self.metrics.tasks[entry.key].arrival)
+            ).observe(self.engine.now - self.metrics.time_of(entry.key, "arrival"))
         if self.tracer is not None:
             self._emit(
                 "dispatch",
@@ -2422,18 +2408,15 @@ class DReAMSim:
         if self.telemetry is not None:
             self.telemetry.histogram(
                 "task_turnaround_seconds", "arrival -> completion latency"
-            ).observe(self.engine.now - self.metrics.tasks[entry.key].arrival)
+            ).observe(self.engine.now - self.metrics.time_of(entry.key, "arrival"))
         if self.slo is not None:
-            row = self.metrics.tasks[entry.key]
+            arrival = self.metrics.time_of(entry.key, "arrival")
+            dispatch = self.metrics.time_of(entry.key, "dispatch")
             self.slo.observe_completion(
                 tenant=entry.task.tenant,
                 priority=entry.task.priority,
-                wait=(
-                    row.dispatch - row.arrival
-                    if row.dispatch is not None
-                    else None
-                ),
-                turnaround=self.engine.now - row.arrival,
+                wait=dispatch - arrival if dispatch is not None else None,
+                turnaround=self.engine.now - arrival,
             )
         self._health_success(entry, placement.candidate.node_id)
         if self.admission is not None:

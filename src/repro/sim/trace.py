@@ -1,10 +1,11 @@
 """Run-record export: CSV/JSON artifacts from finished simulations.
 
 DReAMSim runs are the paper's experimental vehicle; exporting their
-per-task records and event traces lets results be post-processed
-outside the library (spreadsheets, plotting, regression baselines).
-Formats are deliberately boring: flat CSV for per-task tables and the
-chronological trace, JSON for aggregate reports.  Exports round-trip
+per-task records lets results be post-processed outside the library
+(spreadsheets, plotting, regression baselines).  Formats are
+deliberately boring: flat CSV for per-task tables, JSON for aggregate
+reports.  The event trace is the structured tracer's
+(:mod:`repro.sim.tracing`, e.g. a ``JsonlSink``).  Exports round-trip
 (:func:`load_task_records`) so stored baselines can be compared against
 fresh runs in tests.
 """
@@ -39,7 +40,10 @@ TASK_COLUMNS = [
 
 
 def export_task_records(collector: MetricsCollector, path: str | Path) -> int:
-    """Write one CSV row per task; returns the row count."""
+    """Write one CSV row per task, in arrival order, from the
+    collector's :attr:`~repro.sim.metrics.MetricsCollector.tasks` rows;
+    returns the row count.  Unset fields (e.g. ``dispatch`` of a task
+    never dispatched) are written empty and load back as None."""
     path = Path(path)
     with path.open("w", newline="", encoding="ascii") as fh:
         writer = csv.DictWriter(fh, fieldnames=TASK_COLUMNS)
@@ -72,17 +76,6 @@ def load_task_records(path: str | Path) -> list[dict]:
             {column: parse(column, row[column]) for column in TASK_COLUMNS}
             for row in csv.DictReader(fh)
         ]
-
-
-def export_trace(collector: MetricsCollector, path: str | Path) -> int:
-    """Write the chronological event trace (time, event, key)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "event", "key"])
-        for time, event, key in collector.trace:
-            writer.writerow([time, event, repr(key)])
-    return len(collector.trace)
 
 
 def export_report_json(report: SimulationReport, path: str | Path) -> None:

@@ -18,7 +18,8 @@ A differential battery then runs the simulator with the memo live and
 with it defeated (``fit_key`` patched to return a fresh ``object()``,
 so no lookup ever hits) under admission, faults, failover, resilience
 and SLO objectives armed together.  Traces, reports
-and the placement telemetry counters must agree exactly.
+and the placement telemetry counters must agree exactly, and every
+run's phase ledger must conserve (phases sum to turnaround).
 """
 
 import pytest
@@ -45,6 +46,7 @@ from repro.sim.admission import (
     QueueBoundSpec,
     UtilizationSpec,
 )
+from repro.sim.analysis import analyze_events
 from repro.sim.experiment import ExperimentSpec, run_experiment
 from repro.sim.failover import FailoverSpec, HeartbeatSpec
 from repro.sim.faults import FaultSpec
@@ -325,9 +327,11 @@ COUNTERS = ("rms_placements_deferred_total", "rms_placements_gated_total",
 
 
 def run_armed(spec):
-    """One traced, telemetry-armed run; returns everything that must not
-    depend on the memo (trace lines, report, counter series and the end
-    state of every instrument) plus the number of candidate searches."""
+    """One traced, telemetry-armed run, checked online for trace
+    invariants and afterwards for phase-ledger conservation; returns
+    everything that must not depend on the memo (trace lines, report,
+    counter series and the end state of every instrument) plus the
+    number of candidate searches."""
     sink = InMemorySink()
     telemetry = TelemetryRegistry()
     searches = 0
@@ -344,7 +348,10 @@ def run_armed(spec):
             spec, tracer=Tracer(TraceInvariantChecker(), sink),
             telemetry=telemetry,
         ).report
-    lines = [e.to_json() for e in canonical_events(list(sink.events))]
+    events = list(sink.events)
+    # Every terminal task's phase ledger sums to its turnaround.
+    assert analyze_events(events).conservation_violations() == []
+    lines = [e.to_json() for e in canonical_events(events)]
     counters = {
         name: [i.points for i in telemetry.series(name)] for name in COUNTERS
     }

@@ -1,14 +1,13 @@
 """Property-based differential: the two run entry points agree.
 
 An :class:`ExperimentSpec` and its seed name exactly one workload.
-:func:`run_experiment` submits it eagerly (one JSS job per task, the
-default metrics collector); :func:`run_scale_experiment` bulk-submits
-the same workload as columns and records into
-:class:`~repro.sim.metrics.BulkMetricsCollector`.  Those are storage
-choices only, so the two reports must be equal down to ``repr`` (which
-also tells a numpy scalar from the float it equals).  The specs arm
-admission, faults, failover, resilience and SLO objectives together,
-with flash crowds, low-priority tasks and tenants.
+:func:`run_experiment` submits it eagerly (one JSS job per task);
+:func:`run_scale_experiment` bulk-submits the same workload as
+columns.  Both record into the one metrics collector, and submission
+is a host-side choice only, so the two reports must be equal down to
+``repr`` (which also tells a numpy scalar from the float it equals).
+The specs arm admission, faults, failover, resilience and SLO
+objectives together, with flash crowds, low-priority tasks and tenants.
 """
 
 from hypothesis import given, settings, strategies as st

@@ -3,8 +3,8 @@
 Marked ``slow`` and deselected by default (``addopts = -m 'not slow'``);
 run with ``pytest -m slow`` locally or via the scheduled CI job.  The
 quick suite locks *correctness* of the scale machinery (differential
-battery, golden byte-identity, stream-identity, bulk-metrics
-equivalence); this file locks that the machinery actually *survives*
+battery, golden byte-identity, stream-identity, metrics reference
+runs); this file locks that the machinery actually *survives*
 scale -- every task accounted for, monotone clock, and memory bounded
 well below what 1e5 eager Task objects would cost.
 """

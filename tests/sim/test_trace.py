@@ -12,7 +12,6 @@ from repro.sim.simulator import DReAMSim
 from repro.sim.trace import (
     export_report_json,
     export_task_records,
-    export_trace,
     load_report_json,
     load_task_records,
 )
@@ -68,19 +67,6 @@ class TestTaskRecords:
         assert record["dispatch"] is None
         assert record["finish"] is None
         assert record["node_id"] is None
-
-
-class TestTrace:
-    def test_trace_rows(self, finished_sim, tmp_path):
-        sim, _ = finished_sim
-        path = tmp_path / "trace.csv"
-        count = export_trace(sim.metrics, path)
-        text = path.read_text()
-        assert count == len(sim.metrics.trace)
-        # 4 tasks x (arrival, dispatch, start, finish).
-        assert count == 16
-        assert text.startswith("time,event,key")
-        assert "dispatch" in text
 
 
 class TestReportJson:
