@@ -343,7 +343,7 @@ class ResourceManagementSystem:
             candidates = filter_quarantined(candidates, self.health, now)
             choice = self.scheduler.choose(task, candidates, self)
             if choice is None:
-                self._count_deferred()
+                self.count_deferred()
                 return None
             try:
                 if self.telemetry is not None:
@@ -359,36 +359,42 @@ class ResourceManagementSystem:
         finally:
             self._data_sites = None
 
-    def decline_no_fit(self) -> None:
-        """Account one request for a task known to have no available PE.
+    def decline_no_fit(self, n: int = 1) -> None:
+        """Account *n* requests for tasks known to have no available PE.
 
         The dispatch pass calls this instead of :meth:`plan_placement`
-        on a no-fit memo hit.  It keeps the same order and counters: the
-        utilization gate first, else a deferral.
+        for requests it skips on a no-fit memo hit.  It keeps the same
+        order and counters: the utilization gate first, else a
+        deferral.  The gate is checked once for all *n*, so the caller
+        passes only requests that met the same grid state.
         """
-        if not self._gated():
-            self._count_deferred()
+        if not self._gated(n):
+            self.count_deferred(n)
 
-    def _gated(self) -> bool:
+    def _gated(self, n: int = 1) -> bool:
         """The utilization gate: while the grid is saturated with
         in-flight work, defer rather than matchmake.  Occupancy counts
         only in-flight placements, so a future completion event is
-        guaranteed to re-run the queue -- no deadlock."""
-        if self.admission is None or not self.admission.gates_placement(self.nodes):
+        guaranteed to re-run the queue -- no deadlock.  A veto counts
+        *n* gated requests."""
+        if self.admission is None or not self.admission.gates_placement(
+            self.nodes, n
+        ):
             return False
         if self.telemetry is not None:
             self.telemetry.counter(
                 "rms_placements_gated_total",
                 "placement requests vetoed by the utilization gate",
-            ).inc()
+            ).inc(n)
         return True
 
-    def _count_deferred(self) -> None:
+    def count_deferred(self, n: int = 1) -> None:
+        """Count *n* placement requests the strategy declined."""
         if self.telemetry is not None:
             self.telemetry.counter(
                 "rms_placements_deferred_total",
                 "placement requests the strategy declined",
-            ).inc()
+            ).inc(n)
 
     # ------------------------------------------------------------------
     # Placement lifecycle (driven by the simulator through time)

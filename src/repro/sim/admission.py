@@ -331,13 +331,14 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Placement gate (called by the RMS ahead of matchmaking)
     # ------------------------------------------------------------------
-    def gates_placement(self, nodes) -> bool:
-        """True when the utilization policy vetoes matchmaking now."""
+    def gates_placement(self, nodes, n: int = 1) -> bool:
+        """True when the utilization policy vetoes matchmaking now; a
+        veto counts *n* gated requests."""
         util = self.spec.utilization
         if util is None:
             return False
         if grid_occupancy(nodes) >= util.threshold:
-            self.placements_gated += 1
+            self.placements_gated += n
             return True
         return False
 

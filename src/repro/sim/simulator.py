@@ -46,9 +46,12 @@ the simulator of refs [20][21]:
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass, field, replace
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from itertools import islice
 
 from repro.core.application import Application, ClauseKind
 from repro.core.execreq import ExecReq
@@ -81,9 +84,9 @@ class _Entry:
     """One schedulable unit inside the simulator.
 
     ``eq=False`` keeps identity comparison semantics: entries are
-    unique mutable objects, and the pending-queue membership tests in
-    the hot path must not fall into field-by-field dataclass equality
-    (which would compare whole Task trees once per queue scan).
+    unique mutable objects, so hashing or comparing one must never fall
+    into field-by-field dataclass equality (which would compare whole
+    Task trees).
     """
 
     key: object
@@ -138,6 +141,124 @@ class _Entry:
     #: heartbeat round while the control plane is up.  A promoted
     #: standby only adopts placements whose lease is still valid.
     lease_expiry: float = 0.0
+    # --- pending-queue state (set by _PendingQueue) ---
+    #: fit_key of ``task``, computed when the entry joins the queue.
+    fit: object = None
+    #: Admission sequence number: the entry's FIFO position.
+    seq: int = -1
+    #: The bucket holding the entry; ``None`` while it is not queued.
+    bucket: "_Bucket | None" = None
+
+
+class _Bucket:
+    """The queued entries of one fit class, in admission order.
+
+    ``entries`` holds ``(seq, entry)`` pairs.  An entry removed between
+    passes stays in the list until a pass walks past it; a pair is live
+    while its entry still names this bucket and that sequence number.
+    """
+
+    __slots__ = ("fit", "degradable", "entries", "live", "excl", "read", "write")
+
+    def __init__(self, fit: object, degradable: bool):
+        self.fit = fit
+        #: Brownout stage 2 would force these entries onto a GPP.
+        self.degradable = degradable
+        self.entries: list[tuple[int, _Entry]] = []
+        #: Live entries, and those among them with excluded nodes.
+        self.live = 0
+        self.excl = 0
+        #: Dispatch-pass cursors: the next pair to walk, and where the
+        #: next walked pair that stays queued is written back.
+        self.read = 0
+        self.write = 0
+
+
+class _PendingQueue:
+    """The FIFO of entries awaiting placement, indexed by fit class.
+
+    Each entry gets a global admission sequence number when it is
+    appended and is filed in the bucket of its
+    :func:`~repro.core.matching.fit_key` (degradable entries get buckets
+    of their own).  :meth:`DReAMSim._dispatch_pass` walks the bucket
+    heads as a merge on that number, so it can skip a whole class at
+    once.  Removal, ``in`` and ``len`` are O(1); iteration yields the
+    live entries in global append order.
+    """
+
+    def __init__(self) -> None:
+        #: (fit key, degradable) -> bucket, empty ones included so a
+        #: class that comes and goes keeps its bucket.
+        self._classes: dict[tuple[object, bool], _Bucket] = {}
+        #: The non-empty buckets.
+        self.active: dict[_Bucket, None] = {}
+        self._seq = 0
+        self.len = 0
+
+    def __len__(self) -> int:
+        return self.len
+
+    def __contains__(self, entry: _Entry) -> bool:
+        return entry.bucket is not None
+
+    def __iter__(self) -> Iterator[_Entry]:
+        live = [
+            [(seq, e) for seq, e in b.entries if e.bucket is b and e.seq == seq]
+            for b in self.active
+        ]
+        return (e for _, e in heapq.merge(*live))
+
+    def append(self, entry: _Entry, *, degradable: bool = False) -> None:
+        """Queue *entry* at the tail under its current task's fit key."""
+        # Looked up through the module global on every call, so a test
+        # can patch ``fit_key`` to give every entry a class of its own.
+        entry.fit = fit_key(entry.task)
+        entry.seq = seq = self._seq
+        self._seq = seq + 1
+        self._file(entry, degradable).entries.append((seq, entry))
+        self.len += 1
+
+    def refile(self, entry: _Entry) -> None:
+        """Re-queue an entry taken out by :meth:`unfile` under its
+        (new) fit key, keeping its admission position."""
+        insort(self._file(entry, False).entries, (entry.seq, entry))
+
+    def remove(self, entry: _Entry) -> None:
+        bucket = entry.bucket
+        self.unfile(entry)
+        self.len -= 1
+        if not bucket.live:
+            bucket.entries.clear()
+
+    def unfile(self, entry: _Entry) -> None:
+        """Take *entry* out of its bucket (its pair turns dead) but not
+        out of ``len``: :meth:`remove` finishes a removal, and
+        :meth:`refile` puts a moved entry back."""
+        bucket = entry.bucket
+        assert bucket is not None
+        entry.bucket = None
+        bucket.live -= 1
+        if entry.excluded_nodes:
+            bucket.excl -= 1
+        if not bucket.live:
+            del self.active[bucket]
+
+    def _file(self, entry: _Entry, degradable: bool) -> _Bucket:
+        key = (entry.fit, degradable)
+        bucket = self._classes.get(key)
+        if bucket is None:
+            if len(self._classes) > 2 * len(self.active) + 64:
+                # Forget the empty classes, so that a stream of
+                # one-off classes does not grow the index.
+                self._classes = {(b.fit, b.degradable): b for b in self.active}
+            bucket = self._classes[key] = _Bucket(entry.fit, degradable)
+        entry.bucket = bucket
+        if not bucket.live:
+            self.active[bucket] = None
+        bucket.live += 1
+        if entry.excluded_nodes:
+            bucket.excl += 1
+        return bucket
 
 
 class DReAMSim:
@@ -172,7 +293,7 @@ class DReAMSim:
         self.metrics = MetricsCollector()
         self.tracer = tracer
         self.discard_after_s = discard_after_s
-        self.pending: list[_Entry] = []
+        self.pending = _PendingQueue()
         self.active: dict[object, _Entry] = {}
         #: Columnar arrival stream (scale runs); cursor-driven lazy
         #: task materialization, see submit_workload_columns.
@@ -633,7 +754,7 @@ class DReAMSim:
                 entry.dispatched = False
                 entry.placement = None
                 del self.active[entry.key]
-                self.pending.append(entry)
+                self._enqueue(entry)
                 self.requeues += 1
             self.rms.unregister_node(node_id)
             if self.monitor is not None:
@@ -971,7 +1092,7 @@ class DReAMSim:
                 entry.job_id, entry.task.task_id, time=self.engine.now
             )
         self._apply_checkpoint_resume(entry, placement, preserved)
-        self.pending.append(entry)
+        self._enqueue(entry)
         self.requeues += 1
         self._telemetry_sample()
 
@@ -1374,7 +1495,7 @@ class DReAMSim:
                     "sim_fallbacks_total", "GPP graceful-degradation fallbacks"
                 )
                 self._emit("fallback", entry.key)
-            self.pending.append(entry)
+            self._enqueue(entry)
             self.requeues += 1
             self._dispatch_pending()
 
@@ -1784,7 +1905,7 @@ class DReAMSim:
             win=True,
             wasted_s=max(0.0, self.engine.now - dispatched_at),
             node_id=replica.placement.candidate.node_id,
-            resource_index=replica.placement.candidate.resource_id,
+            resource_index=replica.placement.candidate.resource_index,
         )
         self._emit(
             "speculate",
@@ -1892,7 +2013,7 @@ class DReAMSim:
     def _admit(self, entry: _Entry) -> None:
         """Accept a submission into the pending queue (the entire
         pre-admission arrival tail lives here unchanged)."""
-        self.pending.append(entry)
+        self._enqueue(entry)
         self._arm_watchdog(entry)
         if self.discard_after_s is not None:
             deadline = self.discard_after_s
@@ -2025,15 +2146,12 @@ class DReAMSim:
         excess = len(self.pending) - brownout.exit_pending
         if excess <= 0:
             return
+        queued = list(self.pending)
         order = sorted(
-            range(len(self.pending)),
-            key=lambda i: (self.pending[i].task.priority, -i),
+            range(len(queued)), key=lambda i: (queued[i].task.priority, -i)
         )
-        # Materialize victims before shedding: _shed removes from
-        # self.pending, which would shift the remaining indices.
-        victims = [self.pending[i] for i in order[:excess]]
-        for victim in victims:
-            self._shed(victim, "brownout")
+        for i in order[:excess]:
+            self._shed(queued[i], "brownout")
 
     def _admission_observe(self) -> None:
         """Feed the live queue depth into the brownout controller and
@@ -2075,29 +2193,49 @@ class DReAMSim:
         ctl.review_scheduled = False
         self._admission_observe()
 
+    def _enqueue(self, entry: _Entry) -> None:
+        """Append *entry* to the pending queue's tail."""
+        task = entry.task
+        self.pending.append(
+            entry,
+            degradable=(
+                self.admission is not None
+                and task.priority < 0
+                and not entry.fell_back
+                and task.exec_req.node_type is not PEClass.GPP
+                and task.effective_workload_mi > 0
+            ),
+        )
+
     def _dispatch_pending(self) -> None:
         """One FIFO pass over the queue; each successful dispatch
         immediately reserves resources, so later entries see the
         updated state.
 
-        The queue is rebuilt in one pass instead of ``list.remove``-ing
-        each dispatched entry, which was quadratic in queue depth.
-        ``_try_dispatch`` never mutates ``self.pending`` synchronously
-        (faults and completions arrive via engine events), so swapping
-        in the kept list afterwards is safe.
+        The queue keeps one FIFO bucket per
+        :func:`~repro.core.matching.fit_key` class, and the pass walks
+        the bucket heads as a merge on the admission sequence, so
+        entries are tried in strict global FIFO order.  A pass costs
+        O(classes + dispatches + individual declines), not O(depth):
 
-        The pass keeps a **no-fit memo**: the
-        :func:`~repro.core.matching.fit_key` of every task for which
-        ``plan_placement`` found no available PE at all (before
-        exclusions and quarantine).  A later entry with the same key is
-        declined without a search.  This is exact because, within one
-        pass, only ``rms.commit`` changes occupancy, and a commit never
-        makes capacity available: the chosen GPP/GPU turns busy, the
-        chosen region turns CONFIGURING or BUSY, and a freshly
-        provisioned soft core starts BUSY, so it is not listed as an
-        idle soft core.  An empty candidate list therefore stays empty
-        until the pass ends.  The memo is dropped with the pass, since
-        the releases between passes can free capacity.
+        * **No-fit memo.**  The pass remembers the key of every task
+          for which ``plan_placement`` found no available PE at all
+          (before exclusions and quarantine), and stops visiting that
+          class.  This is exact because, within one pass, only
+          ``rms.commit`` changes occupancy, and a commit never makes
+          capacity available: the chosen GPP/GPU turns busy, the chosen
+          region turns CONFIGURING or BUSY, and a freshly provisioned
+          soft core starts BUSY, so it is not listed as an idle soft
+          core.  An empty candidate list therefore stays empty until
+          the pass ends.  The memo is dropped with the pass, since the
+          releases between passes can free capacity.
+        * **Bulk accounting.**  Each skipped entry still counts the
+          requests a search would have made (twice when the starvation
+          guard would retry), see :meth:`_account_skipped`.
+        * **Brownout stage 2** rewrites degradable entries (they have
+          buckets of their own) at their FIFO position, so those
+          buckets are always walked; a rewritten entry that stays
+          queued moves to its GPP class, keeping its position.
         """
         if self.control_plane is not None and not self.control_plane.dispatchable:
             # The control plane is dark: no placement decisions are
@@ -2111,14 +2249,8 @@ class DReAMSim:
         if prof is not None:
             prof.enter("dispatch")
         try:
-            kept: list[_Entry] = []
-            no_fit: set[tuple] = set()
-            for entry in self.pending:
-                if entry.discarded or entry.dispatched:
-                    continue
-                if not self._try_dispatch(entry, no_fit):
-                    kept.append(entry)
-            self.pending = kept
+            if self.pending.len:
+                self._dispatch_pass()
         finally:
             if prof is not None:
                 prof.leave()
@@ -2128,35 +2260,140 @@ class DReAMSim:
         if self.slo is not None:
             self.slo.observe_queue(len(self.pending))
 
-    def _try_dispatch(self, entry: _Entry, no_fit: set[tuple]) -> bool:
-        if (
-            self.admission is not None
-            and self.admission.stage >= 2
-            and entry.task.priority < 0
-            and not entry.fell_back
-            and entry.task.exec_req.node_type is not PEClass.GPP
-            and entry.task.effective_workload_mi > 0
-        ):
-            # Brownout stage 2: low-priority work is forced onto the
-            # software path before placement -- same graceful-degradation
-            # rewrite as the fault-recovery GPP fallback.
-            task = entry.task
-            entry.task = replace(
-                task,
-                exec_req=ExecReq(
-                    node_type=PEClass.GPP,
-                    constraints=(),
-                    artifacts=task.exec_req.artifacts,
-                ),
-            )
-            entry.fell_back = True
-            self.admission.degraded += 1
-            self.metrics.record_degrade(entry.key, self.engine.now)
-            self._telemetry_count(
-                "sim_degrades_total",
-                "low-priority tasks forced to GPP by brownout",
-            )
-            self._emit("degrade", entry.key, stage=self.admission.stage)
+    def _dispatch_pass(self) -> None:
+        queue = self.pending
+        degrading = self.admission is not None and self.admission.stage >= 2
+        no_fit: set[object] = set()
+        skipped: list[_Bucket] = []
+        moved: list[_Entry] = []
+        last_commit = -1
+        # (head seq, tie-break, bucket): a merge on admission order.
+        if len(queue.active) == 1:
+            heap = [(0, 0, next(iter(queue.active)))]
+        else:
+            heap = [(b.entries[0][0], n, b) for n, b in enumerate(queue.active)]
+            heapq.heapify(heap)
+        while heap:
+            _, n, b = heap[0]
+            # Walk this bucket up to the next bucket's head.
+            if len(heap) == 1:
+                limit = math.inf
+            elif len(heap) == 2:
+                limit = heap[1][0]
+            else:
+                limit = min(heap[1][0], heap[2][0])
+            degrade = degrading and b.degradable
+            entries = b.entries
+            i = b.read
+            w = b.write  # walked pairs that stay queued are moved up to here
+            end = len(entries)
+            while i < end:
+                pair = entries[i]
+                seq, entry = pair
+                if seq > limit:
+                    break
+                if entry.bucket is not b or entry.seq != seq:
+                    i += 1  # removed since the last pass
+                    continue
+                if degrade:
+                    self._degrade(entry)
+                elif no_fit and b.fit in no_fit:
+                    break  # no entry of this class can fit in this pass
+                i += 1
+                if self._try_dispatch(entry, no_fit):
+                    queue.unfile(entry)
+                    queue.len -= 1
+                    last_commit = seq
+                elif degrade:
+                    queue.unfile(entry)
+                    moved.append(entry)
+                else:
+                    entries[w] = pair
+                    w += 1
+            if i == end:
+                # Every pair from ``w`` on was walked and left the queue.
+                del entries[w:]
+                b.read = b.write = 0
+                heapq.heappop(heap)
+                continue
+            b.read = i
+            b.write = w
+            if seq > limit:
+                heapq.heapreplace(heap, (seq, n, b))
+            else:
+                skipped.append(b)
+                heapq.heappop(heap)
+        if skipped:
+            if self.admission is not None or self.telemetry is not None:
+                self._account_skipped(skipped, last_commit)
+            for b in skipped:
+                del b.entries[b.write : b.read]
+                b.read = b.write = 0
+        for entry in moved:
+            queue.refile(entry)
+
+    def _account_skipped(self, skipped: list[_Bucket], last_commit: int) -> None:
+        """Count the requests of the entries a pass skipped on a no-fit
+        memo hit, exactly as visiting each at its FIFO position would.
+
+        The utilization gate can only flip at a commit, and once it is
+        closed nothing commits, so it is open for every request before
+        the pass's last commit (those count as deferred) and in one
+        state for every request after it (one gate check counts them).
+        """
+        twice = any(t != "rms" for t in self._suspected_targets)
+        total = early = 0
+        split = (
+            last_commit >= 0
+            and self.admission is not None
+            and self.admission.spec.utilization is not None
+        )
+        for b in skipped:
+            # The walked pairs that stay queued sit before ``b.write``;
+            # the skipped ones start at ``b.read``.
+            live = b.live - b.write
+            if twice:
+                total += 2 * live
+            else:
+                walked = sum(1 for _, e in b.entries[: b.write] if e.excluded_nodes)
+                total += live + b.excl - walked
+            if split:
+                for seq, e in islice(b.entries, b.read, None):
+                    if seq > last_commit:
+                        break
+                    if e.bucket is b and e.seq == seq:
+                        early += 2 if twice or e.excluded_nodes else 1
+        if early:
+            self.rms.count_deferred(early)
+        if total > early:
+            self.rms.decline_no_fit(total - early)
+
+    def _degrade(self, entry: _Entry) -> None:
+        """Brownout stage 2: force low-priority work onto the software
+        path before placement -- same graceful-degradation rewrite as
+        the fault-recovery GPP fallback."""
+        ctl = self.admission
+        assert ctl is not None
+        task = entry.task
+        entry.task = replace(
+            task,
+            exec_req=ExecReq(
+                node_type=PEClass.GPP,
+                constraints=(),
+                artifacts=task.exec_req.artifacts,
+            ),
+        )
+        entry.fit = fit_key(entry.task)
+        entry.fell_back = True
+        ctl.degraded += 1
+        self.metrics.record_degrade(entry.key, self.engine.now)
+        self._telemetry_count(
+            "sim_degrades_total",
+            "low-priority tasks forced to GPP by brownout",
+        )
+        self._emit("degrade", entry.key, stage=ctl.stage)
+
+    def _try_dispatch(self, entry: _Entry, no_fit: set[object]) -> bool:
         exclude = entry.excluded_nodes
         if self._suspected_targets:
             # Don't throw new work at nodes the detector already
@@ -2165,13 +2402,12 @@ class DReAMSim:
             suspects = {t for t in self._suspected_targets if t != "rms"}
             if suspects:
                 exclude = exclude | suspects
-        if fit_key(entry.task) in no_fit:
-            # No-fit memo hit: a fresh search would find no available
-            # PE either.  Account the request like plan_placement would,
-            # twice when the starvation guard below would retry.
-            self.rms.decline_no_fit()
-            if exclude:
-                self.rms.decline_no_fit()
+        if no_fit and entry.fit in no_fit:
+            # No-fit memo hit (a brownout rewrite can move an entry into
+            # a class this pass has already searched).  Account the
+            # request like plan_placement would, twice when the
+            # starvation guard below would retry.
+            self.rms.decline_no_fit(2 if exclude else 1)
             return False
         data_sites = self._data_sites_for(entry)
         prof = self.hostprof

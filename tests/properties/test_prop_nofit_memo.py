@@ -20,7 +20,15 @@ so no lookup ever hits) under admission, faults, failover, resilience
 and SLO objectives armed together.  Traces, reports
 and the placement telemetry counters must agree exactly, and every
 run's phase ledger must conserve (phases sum to turnaround).
+
+The pending queue files entries by ``fit_key``, so the defeated key
+also gives every entry a class of its own, which turns the
+class-indexed pass back into a per-entry FIFO walk.  A deep-queue
+battery compares the two at hundreds of queued entries, and a model
+test pins the queue's order, membership and length.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +59,7 @@ from repro.sim.experiment import ExperimentSpec, run_experiment
 from repro.sim.failover import FailoverSpec, HeartbeatSpec
 from repro.sim.faults import FaultSpec
 from repro.sim.resilience import DeadlineSpec, ResilienceSpec, SpeculationSpec
+from repro.sim.simulator import DReAMSim, _Entry, _PendingQueue
 from repro.sim.slo import SLOObjective, SLOSpec
 from repro.sim.telemetry import TelemetryRegistry
 from repro.sim.tracing import (
@@ -407,3 +416,136 @@ def assert_memo_matches_defeated(spec):
     assert counters == defeated[2]
     assert instruments == defeated[3]
     return memo_searches, defeated_searches
+
+
+# ----------------------------------------------------------------------
+# Deep queues: the class-indexed pass vs. a per-entry walk
+# ----------------------------------------------------------------------
+def deep_spec(seed, tasks, *, threshold=0.9, enter=60, exit=30, dwell=0.5):
+    """32 tasks/s on the default grid with a brownout that reaches
+    stages 2 and 3, the utilization gate, mid-queue discards, crashes
+    behind a heartbeat detector (suspects) and faults that exclude
+    nodes, all armed together."""
+    return ExperimentSpec(
+        tasks=tasks, configurations=4, arrival_rate_per_s=32.0,
+        area_range=(2_000, 14_000), gpp_fraction=0.4, seed=seed,
+        tenants=2, low_priority_fraction=0.3, discard_after_s=10.0,
+        admission=AdmissionSpec(
+            utilization=UtilizationSpec(threshold=threshold),
+            brownout=BrownoutSpec(
+                enter_pending=enter, exit_pending=exit, dwell_s=dwell,
+            ),
+        ),
+        faults=FaultSpec(
+            crash_rate_per_s=0.2, downtime_range_s=(2.0, 6.0),
+            config_fault_prob=0.2, seu_rate_per_s=0.05,
+            heartbeat_loss_prob=0.3, horizon_s=tasks / 32.0,
+        ),
+        failover=FailoverSpec(
+            heartbeat=HeartbeatSpec(
+                interval_s=0.5, suspect_after=2.0, confirm_after=6.0,
+            ),
+            standbys=1, lease_s=4.0,
+        ),
+    )
+
+
+def assert_deep_queue_matches_per_entry_walk(spec):
+    """Like :func:`assert_memo_matches_defeated`, with the queue's
+    length checked against its contents after every pass; returns the
+    trace lines."""
+    dispatch = DReAMSim._dispatch_pending
+
+    def checked(sim):
+        dispatch(sim)
+        queued = list(sim.pending)
+        assert len(sim.pending) == len(queued) == len(set(map(id, queued)))
+        assert all(entry in sim.pending for entry in queued)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DReAMSim, "_dispatch_pending", checked)
+        live, _ = run_armed(spec)
+        patch.setattr(simulator_module, "fit_key", lambda task: object())
+        defeated, _ = run_armed(spec)
+    trace, report, counters, instruments = live
+    assert trace == defeated[0]
+    assert report == defeated[1]
+    assert counters == defeated[2]
+    assert instruments == defeated[3]
+    return trace
+
+
+@pytest.mark.parametrize("seed,tasks", [(0, 200), (1, 300), (2, 400)])
+def test_class_indexed_pass_matches_a_per_entry_walk_on_deep_queues(seed, tasks):
+    events = [
+        json.loads(line)
+        for line in assert_deep_queue_matches_per_entry_walk(deep_spec(seed, tasks))
+    ]
+    kinds = {e["kind"] for e in events}
+    # Every armed mechanism really fired, on a queue dozens deep.
+    assert {2, 3} <= {e["stage"] for e in events if e["kind"] == "brownout"}
+    assert {"degrade", "shed", "discard", "heartbeat-suspect", "fault"} <= kinds
+    assert max(e.get("depth", 0) for e in events) >= 60
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tasks=st.integers(200, 400),
+    threshold=st.floats(0.5, 1.0),
+    enter=st.integers(30, 90),
+    exit=st.integers(0, 29),
+    dwell=st.floats(0.2, 2.0),
+)
+@settings(max_examples=8, deadline=None)
+def test_class_indexed_pass_matches_on_random_deep_queues(
+    seed, tasks, threshold, enter, exit, dwell
+):
+    assert_deep_queue_matches_per_entry_walk(deep_spec(
+        seed, tasks, threshold=threshold, enter=enter, exit=exit, dwell=dwell,
+    ))
+
+
+# ----------------------------------------------------------------------
+# The pending queue against a plain-list model
+# ----------------------------------------------------------------------
+QUEUE_TASKS = (
+    simple_task(0, ExecReq(PEClass.GPP, (), Artifacts("x")), 1.0),
+    simple_task(1, ExecReq(PEClass.GPP, (), Artifacts("x")), 1.0, function="fft"),
+    simple_task(2, ExecReq(PEClass.RPE, (MinValue("slices", 2_000),),
+                           Artifacts("x")), 1.0, function="fir"),
+)
+
+
+@given(ops=st.lists(
+    st.tuples(st.sampled_from(("append", "remove", "reappend")),
+              st.integers(0, 40), st.booleans()),
+    max_size=80,
+))
+@settings(max_examples=150, deadline=None)
+def test_pending_queue_matches_a_list(ops):
+    """Iteration is global append order across classes; removal from
+    the middle, ``in`` and ``len`` behave; a re-appended entry goes to
+    the tail."""
+    queue = _PendingQueue()
+    model: list[_Entry] = []
+    removed: list[_Entry] = []
+    for op, n, flag in ops:
+        if op == "append":
+            entry = _Entry(key=len(model) + len(removed),
+                           task=QUEUE_TASKS[n % len(QUEUE_TASKS)])
+            if flag:
+                entry.excluded_nodes.add(n)
+            queue.append(entry, degradable=n % 2 == 0)
+            model.append(entry)
+        elif op == "remove" and model:
+            entry = model.pop(n % len(model))
+            queue.remove(entry)
+            removed.append(entry)
+        elif op == "reappend" and removed:
+            entry = removed.pop(n % len(removed))
+            queue.append(entry, degradable=flag)
+            model.append(entry)
+        assert list(queue) == model
+        assert len(queue) == len(model)
+        assert all(entry in queue for entry in model)
+        assert not any(entry in queue for entry in removed)

@@ -20,7 +20,13 @@ from repro.grid.rms import ResourceManagementSystem
 from repro.hardware.bitstream import Bitstream
 from repro.hardware.catalog import device_by_model
 from repro.hardware.gpp import GPPSpec
+from repro.hardware.power import (
+    energy_per_task_j,
+    fpga_active_power,
+    fpga_reconfig_power,
+)
 from repro.hardware.taxonomy import PEClass
+from repro.sim.energy import EnergyAuditor
 from repro.sim.experiment import ExperimentSpec, NodeSpec, run_experiment
 from repro.sim.faults import FAULT_PRESETS, FaultSpec, RetryPolicy
 from repro.sim.resilience import (
@@ -337,6 +343,39 @@ class TestSpeculation:
         assert win.payload["node"] != win.payload["loser"]
         # The task completed on the replica's node.
         assert tm.node_id == win.payload["node"]
+
+    def test_replica_win_records_the_index_within_the_pe_kind(self):
+        # Each node lists its GPP first, so the LX155 the bitstream
+        # targets is resource 1 but RPE index 0.  A row naming the
+        # resource id would have the auditor price the smaller LX30.
+        res = ResilienceSpec(
+            checkpoint=CheckpointSpec(interval_s=1.0, overhead_s=3.0),
+            speculation=SpeculationSpec(slowdown_factor=1.5),
+        )
+        rms = ResourceManagementSystem(network=Network.fully_connected([0, 1]))
+        for node_id in range(2):
+            node = Node(node_id=node_id)
+            node.add_gpp(GPPSpec(cpu_model=f"cpu{node_id}", mips=1_000))
+            node.add_rpe(device_by_model("XC5VLX155"), regions=2)
+            node.add_rpe(device_by_model("XC5VLX30"), regions=1)
+            rms.register_node(node)
+        sim, tracer = checked_sim(rms, res)
+        sim.submit_workload([(0.0, hw_task(0, t=4.0))])
+        report = sim.run()
+        tracer.close()
+        assert report.speculative_wins == 1
+        tm = next(iter(sim.metrics.tasks.values()))
+        lx155 = rms.node(tm.node_id).rpes[0]
+        assert lx155.resource_id == 1
+        assert tm.resource_index == 0
+        energy = EnergyAuditor(rms).audit(sim)
+        exec_s = tm.finish - tm.start
+        assert energy.active_j == pytest.approx(
+            energy_per_task_j(fpga_active_power(lx155.device, tm.slices), exec_s)
+        )
+        assert energy.reconfig_j == pytest.approx(
+            energy_per_task_j(fpga_reconfig_power(lx155.device), tm.reconfig_time)
+        )
 
     def test_replica_loses_against_recovering_primary(self):
         # Primary: 4 s + 3 x 1 s = 7 s finish; trigger at ~6 s; the
